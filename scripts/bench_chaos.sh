@@ -8,25 +8,14 @@
 # All numbers are simulated (deterministic for a fixed seed and any
 # --threads), so the merged file is reproducible bit for bit.
 #
-# Usage: scripts/bench_chaos.sh [build-dir]
+# Usage: scripts/bench_chaos.sh [--check] [build-dir]  (see bench_lib.sh)
 set -euo pipefail
-
-BUILD_DIR="${1:-build}"
-
-cmake -B "$BUILD_DIR" -S .
-cmake --build "$BUILD_DIR" -j --target fig12_chaos
-
-TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$TMP"' EXIT
-
-"$BUILD_DIR"/bench/fig12_chaos --json "$TMP" > /dev/null
-
-python3 scripts/validate_metrics.py "$TMP"
+source scripts/bench_lib.sh
 
 # Distill the sweep into one summary document: one row per
 # (scenario, shard count, distribution) point, with the failover records
 # carried through and the baseline each chaos run is measured against.
-python3 - "$TMP" <<'EOF'
+run_bench fig12_chaos results/BENCH_chaos.json <<'EOF'
 import json
 import sys
 
@@ -61,8 +50,7 @@ with open(sys.argv[1]) as f:
                     "chaos run lost/duplicated matches: %s" % row)
         out["sweep"].append(row)
 
-with open("results/BENCH_chaos.json", "w") as f:
+with open(sys.argv[2], "w") as f:
     json.dump(out, f, indent=2)
     f.write("\n")
-print("results/BENCH_chaos.json updated")
 EOF

@@ -6,25 +6,14 @@
 # fixed seed and any --threads), so the merged file is reproducible bit
 # for bit on any machine.
 #
-# Usage: scripts/bench_dist.sh [build-dir]
+# Usage: scripts/bench_dist.sh [--check] [build-dir]  (see bench_lib.sh)
 set -euo pipefail
-
-BUILD_DIR="${1:-build}"
-
-cmake -B "$BUILD_DIR" -S .
-cmake --build "$BUILD_DIR" -j --target fig10_scaleout
-
-TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$TMP"' EXIT
-
-"$BUILD_DIR"/bench/fig10_scaleout --json "$TMP" > /dev/null
-
-python3 scripts/validate_metrics.py "$TMP"
+source scripts/bench_lib.sh
 
 # Distill the sweep records into one summary document: one row per
 # (topology, shard count, distribution, stealing) point, with the
 # per-shard and per-link breakdowns carried through.
-python3 - "$TMP" <<'EOF'
+run_bench fig10_scaleout results/BENCH_dist.json <<'EOF'
 import json
 import sys
 
@@ -55,8 +44,7 @@ with open(sys.argv[1]) as f:
             "links": rec["links"],
         })
 
-with open("results/BENCH_dist.json", "w") as f:
+with open(sys.argv[2], "w") as f:
     json.dump(out, f, indent=2)
     f.write("\n")
-print("results/BENCH_dist.json updated")
 EOF

@@ -9,25 +9,14 @@
 # gate. All numbers are simulated (deterministic for a fixed seed and
 # any --threads), so the merged file is reproducible bit for bit.
 #
-# Usage: scripts/bench_htap.sh [build-dir]
+# Usage: scripts/bench_htap.sh [--check] [build-dir]  (see bench_lib.sh)
 set -euo pipefail
-
-BUILD_DIR="${1:-build}"
-
-cmake -B "$BUILD_DIR" -S .
-cmake --build "$BUILD_DIR" -j --target fig13_htap
-
-TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$TMP"' EXIT
-
-"$BUILD_DIR"/bench/fig13_htap --json "$TMP" > /dev/null
-
-python3 scripts/validate_metrics.py "$TMP"
+source scripts/bench_lib.sh
 
 # Distill the grid into one summary document: one row per
 # (mix, shard count) cell with the serving latency, the ingest/merge
 # activity and the inline verification outcomes carried through.
-python3 - "$TMP" <<'EOF'
+run_bench fig13_htap results/BENCH_htap.json <<'EOF'
 import json
 import sys
 
@@ -67,8 +56,7 @@ with open(sys.argv[1]) as f:
                 "oracle: %s" % row)
         out["sweep"].append(row)
 
-with open("results/BENCH_htap.json", "w") as f:
+with open(sys.argv[2], "w") as f:
     json.dump(out, f, indent=2)
     f.write("\n")
-print("results/BENCH_htap.json updated")
 EOF

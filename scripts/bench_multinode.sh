@@ -10,25 +10,14 @@
 # and any --threads), so the merged file is reproducible bit for bit on
 # any machine.
 #
-# Usage: scripts/bench_multinode.sh [build-dir]
+# Usage: scripts/bench_multinode.sh [--check] [build-dir]  (see bench_lib.sh)
 set -euo pipefail
-
-BUILD_DIR="${1:-build}"
-
-cmake -B "$BUILD_DIR" -S .
-cmake --build "$BUILD_DIR" -j --target fig15_multinode
-
-TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$TMP"' EXIT
-
-"$BUILD_DIR"/bench/fig15_multinode --json "$TMP" > /dev/null
-
-python3 scripts/validate_metrics.py "$TMP"
+source scripts/bench_lib.sh
 
 # Distill the sweep records into one summary document: one row per
 # (network, nodes, distribution, scenario) point, with the per-node and
 # network-link breakdowns carried through.
-python3 - "$TMP" <<'EOF'
+run_bench fig15_multinode results/BENCH_cluster.json <<'EOF'
 import json
 import sys
 
@@ -68,8 +57,7 @@ with open(sys.argv[1]) as f:
             row["failovers"] = rec["robustness"].get("failovers", 0)
         out["sweep"].append(row)
 
-with open("results/BENCH_cluster.json", "w") as f:
+with open(sys.argv[2], "w") as f:
     json.dump(out, f, indent=2)
     f.write("\n")
-print("results/BENCH_cluster.json updated")
 EOF

@@ -6,25 +6,14 @@
 # for a fixed seed and any --threads), so the merged file is
 # reproducible bit for bit on any machine.
 #
-# Usage: scripts/bench_plan.sh [build-dir]
+# Usage: scripts/bench_plan.sh [--check] [build-dir]  (see bench_lib.sh)
 set -euo pipefail
-
-BUILD_DIR="${1:-build}"
-
-cmake -B "$BUILD_DIR" -S .
-cmake --build "$BUILD_DIR" -j --target fig11_adaptive
-
-TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$TMP"' EXIT
-
-"$BUILD_DIR"/bench/fig11_adaptive --json "$TMP" > /dev/null
-
-python3 scripts/validate_metrics.py "$TMP"
+source scripts/bench_lib.sh
 
 # Distill the records into one summary document: one row per
 # (phase, planner) with its routed batches, the static-plan totals and
 # the cumulative regret curve.
-python3 - "$TMP" <<'EOF'
+run_bench fig11_adaptive results/BENCH_plan.json <<'EOF'
 import json
 import sys
 
@@ -66,8 +55,7 @@ with open(sys.argv[1]) as f:
                 "regret_curve": rec["regret_curve"],
             }
 
-with open("results/BENCH_plan.json", "w") as f:
+with open(sys.argv[2], "w") as f:
     json.dump(out, f, indent=2)
     f.write("\n")
-print("results/BENCH_plan.json updated")
 EOF

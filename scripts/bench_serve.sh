@@ -5,24 +5,13 @@
 # are simulated (deterministic for a fixed seed), so the merged file is
 # reproducible bit for bit on any machine.
 #
-# Usage: scripts/bench_serve.sh [build-dir]
+# Usage: scripts/bench_serve.sh [--check] [build-dir]  (see bench_lib.sh)
 set -euo pipefail
-
-BUILD_DIR="${1:-build}"
-
-cmake -B "$BUILD_DIR" -S .
-cmake --build "$BUILD_DIR" -j --target serve_latency
-
-TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$TMP"' EXIT
-
-"$BUILD_DIR"/bench/serve_latency --json "$TMP" > /dev/null
-
-python3 scripts/validate_metrics.py "$TMP"
+source scripts/bench_lib.sh
 
 # Distill the sweep records into one summary document: the calibration
 # point plus one row per load multiplier.
-python3 - "$TMP" <<'EOF'
+run_bench serve_latency results/BENCH_serve.json <<'EOF'
 import json
 import sys
 
@@ -62,8 +51,7 @@ with open(sys.argv[1]) as f:
                 metrics["serve.achieved_tuples_per_sec"]["value"],
         })
 
-with open("results/BENCH_serve.json", "w") as f:
+with open(sys.argv[2], "w") as f:
     json.dump(out, f, indent=2)
     f.write("\n")
-print("results/BENCH_serve.json updated")
 EOF

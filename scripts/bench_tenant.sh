@@ -6,27 +6,16 @@
 # (deterministic for a fixed seed), so the merged file is reproducible
 # bit for bit on any machine.
 #
-# Usage: scripts/bench_tenant.sh [build-dir]
+# Usage: scripts/bench_tenant.sh [--check] [build-dir]  (see bench_lib.sh)
 set -euo pipefail
-
-BUILD_DIR="${1:-build}"
-
-cmake -B "$BUILD_DIR" -S .
-cmake --build "$BUILD_DIR" -j --target fig14_tenants
-
-TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$TMP"' EXIT
-
-"$BUILD_DIR"/bench/fig14_tenants --json "$TMP" > /dev/null
-
-python3 scripts/validate_metrics.py "$TMP"
+source scripts/bench_lib.sh
 
 # Distill the cell records into one summary document and enforce the
 # experiment's acceptance bars: the cache must buy aggregate throughput
 # at equal shed with identical match sets, and weighted-fair scheduling
 # must hold the protected tier's p99 near its rogue-free value while
 # FIFO degrades it.
-python3 - "$TMP" <<'EOF'
+run_bench fig14_tenants results/BENCH_tenant.json <<'EOF'
 import json
 import sys
 
@@ -126,10 +115,10 @@ if fails:
         print(f"FAIL: {f}", file=sys.stderr)
     sys.exit(1)
 
-with open("results/BENCH_tenant.json", "w") as f:
+with open(sys.argv[2], "w") as f:
     json.dump(out, f, indent=2)
     f.write("\n")
-print("results/BENCH_tenant.json updated: cache %.2fx QPS at equal shed, "
+print("cache %.2fx QPS at equal shed, "
       "gold p99 %.2fx under fair vs %.2fx under FIFO" %
       (s["cache_qps_gain"], s["gold_p99_fair_ratio"],
        s["gold_p99_fifo_ratio"]))

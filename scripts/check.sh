@@ -49,6 +49,11 @@ run_config build-release -DCMAKE_BUILD_TYPE=Release -DGPUJOIN_SANITIZE=
 # stay byte-identical to the checked-in golden table.
 scripts/fault_smoke.sh build-release
 
+# Serving golden diffs: the multi-tenant grid and the HTAP ingest grid
+# must regenerate byte-identical to their committed result files.
+scripts/bench_tenant.sh --check build-release
+scripts/bench_htap.sh --check build-release
+
 # Metrics emission smoke: a small bench run with --json must produce
 # records that pass the schema_version 1 validator.
 METRICS_TMP="$(mktemp --suffix=.metrics.json)"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -96,260 +97,32 @@ Result<ServeReport> RequestServer::Run() {
   }
   const uint64_t sample = backend->sample_size();
 
-  if (serve_config_.tenants.enabled()) return RunTenants(*backend);
-  if (cache_ != nullptr) {
-    return Status::InvalidArgument(
-        "result cache requires tenant mode (tenants.num_tenants > 0)");
+  // Untenanted serving is the one-tenant case: FIFO, one unlimited tier
+  // (no token bucket), cyclic slicing. Its batches are exactly those of a
+  // plain arrival-order queue (DESIGN.md §10).
+  const bool tenanted = serve_config_.tenants.enabled();
+  TenantConfig tenants = serve_config_.tenants;
+  if (!tenanted) {
+    tenants = TenantConfig{};
+    tenants.num_tenants = 1;
+    tenants.tiers = {TenantTier{"default", 1.0, 0, 0}};
+    tenants.scheduler = TenantScheduler::kFifo;
   }
-  if (serve_config_.collect_matches) {
-    return Status::InvalidArgument(
-        "collect_matches requires tenant mode (tenants.num_tenants > 0)");
-  }
-
-  ArrivalGenerator gen(serve_config_.arrival);
-  MicroBatcher batcher(serve_config_.batch);
-
-  ServeReport report;
-  report.offered_rate = serve_config_.arrival.rate;
-
-  // Backoff jitter stream: all draws happen on this (single) event-loop
-  // thread in batch order, so a fixed seed reproduces the run at any
-  // backend thread count. Never drawn with the default policy.
-  Xoshiro256 retry_rng(SplitMix64(retry.seed));
-  if (retry.retry_cap > 0) {
-    report.robustness.retry_histogram.assign(
-        static_cast<size_t>(retry.retry_cap) + 1, 0);
-  }
-
-  // Pending request arrival times (each request carries `tpr` tuples)
-  // and dispatched-but-unfinished batches as (completion time, tuples).
-  // backlog = pending + in-flight tuples; it is what admission control
-  // bounds and what the adaptive batcher steers by.
-  std::deque<double> pending;
-  std::deque<std::pair<double, uint64_t>> in_flight;
-  uint64_t pending_tuples = 0;
-  uint64_t in_flight_tuples = 0;
-  double server_free = 0;
-  uint64_t cursor = 0;   // cyclic position in the probe sample
-  uint64_t ordinal = 0;  // window ordinal for the phase timeline
-
-  auto advance = [&](double now) {
-    while (!in_flight.empty() && in_flight.front().first <= now) {
-      in_flight_tuples -= in_flight.front().second;
-      in_flight.pop_front();
-    }
-  };
-
-  // Closes the batch of everything pending at `close_t`: services it as
-  // windows over the cyclic sample cursor, charges each request its
-  // sojourn time, and lets the batcher see the post-close backlog.
-  auto close_batch = [&](double close_t, bool by_deadline) -> Status {
-    const double start = std::max(close_t, server_free);
-
-    // Deadline budgets: a request whose budget already ran out by the
-    // time its batch would start cannot be served in time, so it is
-    // shed before dispatch (oldest arrivals first — they doom first).
-    if (retry.deadline_seconds > 0) {
-      while (!pending.empty() &&
-             pending.front() + retry.deadline_seconds < start) {
-        pending.pop_front();
-        pending_tuples -= tpr;
-        ++report.robustness.shed_deadline;
-      }
-      if (pending.empty()) {
-        batcher.ObserveBacklog(in_flight_tuples);
-        return Status();
-      }
-    }
-
-    const uint64_t n_requests = pending.size();
-    const uint64_t n_tuples = pending_tuples;
-
-    double service = 0;
-    if (ingest_ != nullptr && ingest_->active()) {
-      // Writes admitted before this batch land in the deltas now (epoch
-      // swaps completing in the gap stall the batch), and every probe
-      // pays the delta/overlay consult surcharge.
-      service += ingest_->AdvanceTo(start);
-      ingest_->RecordBatchStaleness(start);
-      service += ingest_->LookupSurchargeSeconds(n_tuples);
-    }
-    uint64_t remaining = n_tuples;
-    while (remaining > 0) {
-      const uint64_t take = std::min(remaining, sample - cursor);
-
-      // Bounded seeded-backoff retry around the slice. With the default
-      // retry_cap == 0 the first backend error stays fatal, exactly the
-      // pre-retry behaviour.
-      double slice_time = 0;
-      int attempts = 0;
-      for (;;) {
-        Result<double> slice =
-            backend->ServiceSlice(cursor, take, ordinal++);
-        if (slice.ok()) {
-          slice_time = *slice;
-          break;
-        }
-        if (attempts >= retry.retry_cap) {
-          if (retry.retry_cap == 0) return slice.status();
-          // Cap exhausted: shed this batch's requests and keep serving.
-          // A permanently-stuck backend degrades to lost requests with
-          // the backoff charged, not a wedged server.
-          report.robustness.shed_retry_exhausted += n_requests;
-          ++report.robustness.retry_histogram[static_cast<size_t>(
-              attempts)];
-          server_free = start + service;
-          report.sim_seconds = std::max(report.sim_seconds, server_free);
-          pending.clear();
-          pending_tuples = 0;
-          batcher.ObserveBacklog(in_flight_tuples);
-          return Status();
-        }
-        double wait = retry.backoff_base * std::ldexp(1.0, attempts);
-        if (retry.backoff_jitter > 0) {
-          wait *= 1.0 + retry.backoff_jitter *
-                            (2.0 * retry_rng.NextDouble() - 1.0);
-        }
-        service += wait;
-        ++attempts;
-        ++report.robustness.retries;
-      }
-
-      // Hedged re-issue: a primary attempt running past the trigger is
-      // raced against the replica plan; the faster result wins.
-      if (retry.hedge_after > 0 && slice_time > retry.hedge_after) {
-        ++report.robustness.hedges;
-        Result<double> hedge =
-            backend->ServiceHedge(cursor, take, ordinal++);
-        if (hedge.ok()) {
-          const double hedged = retry.hedge_after + *hedge;
-          if (hedged < slice_time) {
-            slice_time = hedged;
-            ++report.robustness.hedge_wins;
-          }
-        }
-      }
-      if (!report.robustness.retry_histogram.empty()) {
-        ++report.robustness.retry_histogram[static_cast<size_t>(attempts)];
-      }
-
-      service += slice_time;
-      cursor += take;
-      if (cursor == sample) cursor = 0;
-      remaining -= take;
-    }
-
-    const double end = start + service;
-    server_free = end;
-    for (double arrival : pending) {
-      report.latency.Record(end - arrival);
-      report.queue_seconds_total += start - arrival;
-      if (retry.deadline_seconds > 0 &&
-          end - arrival > retry.deadline_seconds) {
-        ++report.robustness.deadline_misses;
-      }
-    }
-    report.service_seconds_total +=
-        service * static_cast<double>(n_requests);
-    pending.clear();
-    pending_tuples = 0;
-    in_flight.emplace_back(end, n_tuples);
-    in_flight_tuples += n_tuples;
-
-    ++report.counters.batches;
-    report.counters.tuples_served += n_tuples;
-    if (by_deadline) {
-      ++report.counters.deadline_batches;
-    } else {
-      ++report.counters.size_batches;
-    }
-    report.sim_seconds = std::max(report.sim_seconds, end);
-
-    batcher.ObserveBacklog(pending_tuples + in_flight_tuples);
-    return Status();
-  };
-
-  for (uint64_t i = 0; i < serve_config_.requests; ++i) {
-    const double t = gen.Next();
-
-    // Deadlines that expire before this arrival close their batch first.
-    while (!pending.empty()) {
-      const double deadline = batcher.DeadlineFor(pending.front());
-      if (deadline >= t) break;
-      advance(deadline);
-      Status st = close_batch(deadline, /*by_deadline=*/true);
-      if (!st.ok()) return st;
-    }
-    advance(t);
-
-    if (serve_config_.max_backlog_tuples > 0 &&
-        pending_tuples + in_flight_tuples + tpr >
-            serve_config_.max_backlog_tuples) {
-      ++report.counters.requests_shed;
-      continue;
-    }
-    ++report.counters.requests_admitted;
-    pending.push_back(t);
-    pending_tuples += tpr;
-
-    if (batcher.SizeTriggered(pending_tuples)) {
-      Status st = close_batch(t, /*by_deadline=*/false);
-      if (!st.ok()) return st;
-    }
-  }
-
-  // Drain: the stream ended, so the remaining requests go out on their
-  // deadline.
-  while (!pending.empty()) {
-    const double deadline = batcher.DeadlineFor(pending.front());
-    advance(deadline);
-    Status st = close_batch(deadline, /*by_deadline=*/true);
-    if (!st.ok()) return st;
-  }
-
-  if (ingest_ != nullptr && ingest_->active()) {
-    ingest_->Finish(report.sim_seconds);
-  }
-
-  report.counters.window_grows = batcher.grows();
-  report.counters.window_shrinks = batcher.shrinks();
-  report.final_batch_tuples = batcher.batch_tuples();
-  if (report.sim_seconds > 0) {
-    report.achieved_requests_per_sec =
-        static_cast<double>(report.counters.requests_admitted) /
-        report.sim_seconds;
-    report.achieved_tuples_per_sec =
-        static_cast<double>(report.counters.tuples_served) /
-        report.sim_seconds;
-  }
-  return report;
-}
-
-Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
-  const TenantConfig& tenants = serve_config_.tenants;
-  const uint64_t tpr = serve_config_.tuples_per_request;
-  const uint64_t sample = backend.sample_size();
-
-  // Tenant mode composes with admission control and adaptive batching but
-  // not (yet) with the retry/hedge machinery or online ingest; reject the
-  // combinations instead of silently ignoring the knobs.
-  if (serve_config_.retry.enabled()) {
-    return Status::InvalidArgument(
-        "tenant mode does not compose with retry.deadline_seconds / "
-        "retry.retry_cap / retry.hedge_after yet");
-  }
-  if (ingest_ != nullptr && ingest_->active()) {
-    return Status::InvalidArgument(
-        "tenant mode does not compose with an active ingest coordinator");
-  }
-  if (tenants.key_universe > 0 && tenants.key_universe * tpr > sample) {
+  const bool keyed = tenants.key_universe > 0;
+  const bool ingesting = ingest_ != nullptr && ingest_->active();
+  if (tenants.key_universe > sample / tpr) {
     return Status::InvalidArgument(
         "tenants.key_universe * tuples_per_request must not exceed the "
         "probe sample size");
   }
-  if (cache_ != nullptr && tenants.key_universe == 0) {
+  if (cache_ != nullptr && !keyed) {
     return Status::InvalidArgument(
         "result cache requires keyed requests (tenants.key_universe > 0)");
+  }
+  if (cache_ != nullptr && ingesting) {
+    // Memoized match sets would outlive the epoch swaps that change them.
+    return Status::InvalidArgument(
+        "result cache does not compose with an active ingest coordinator");
   }
 
   Result<std::unique_ptr<TenantRouter>> router_or =
@@ -369,31 +142,46 @@ Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
   ServeReport report;
   report.offered_rate = serve_config_.arrival.rate;
 
+  // Backoff jitter stream: all draws happen on this (single) event-loop
+  // thread in batch order, so a fixed seed reproduces the run at any
+  // backend thread count. Never drawn with the default policy.
+  Xoshiro256 retry_rng(SplitMix64(retry.seed));
+  if (retry.retry_cap > 0) {
+    report.robustness.retry_histogram.assign(
+        static_cast<size_t>(retry.retry_cap) + 1, 0);
+  }
+
   struct Request {
     double arrival = 0;
     TenantRouter::Draw draw;
-    bool served = false;
+    bool dequeued = false;
   };
-  std::vector<Request> requests;
-  // Queued request ids in arrival order; served entries are skipped
-  // lazily, so the front yields the oldest queued arrival for the
-  // deadline trigger.
-  std::deque<uint64_t> queued_order;
+  // Admitted requests in arrival order (ids are consecutive from
+  // first_id). Dequeued ones leave from the front lazily, so the front is
+  // the oldest queued arrival for the deadline trigger and memory follows
+  // the backlog, not the run length.
+  std::deque<Request> requests;
+  uint64_t first_id = 0;
   auto oldest_queued = [&]() -> const Request* {
-    while (!queued_order.empty() &&
-           requests[queued_order.front()].served) {
-      queued_order.pop_front();
+    while (!requests.empty() && requests.front().dequeued) {
+      requests.pop_front();
+      ++first_id;
     }
-    return queued_order.empty() ? nullptr : &requests[queued_order.front()];
+    return requests.empty() ? nullptr : &requests.front();
   };
 
+  // Dispatched-but-unfinished batches as (completion time, tuples).
+  // backlog = queued + in-flight tuples; it is what admission control
+  // bounds and what the adaptive batcher steers by.
   std::deque<std::pair<double, uint64_t>> in_flight;
   uint64_t in_flight_tuples = 0;
   double server_free = 0;
-  uint64_t cursor = 0;   // cyclic cursor, used when key_universe == 0
-  uint64_t ordinal = 0;
+  uint64_t cursor = 0;   // cyclic position in the probe sample
+  uint64_t ordinal = 0;  // window ordinal for the phase timeline
   std::vector<uint64_t> batch_ids;
   std::vector<core::JoinMatch> scratch;
+  std::vector<core::JoinMatch>* collect =
+      serve_config_.collect_matches ? &report.matches : nullptr;
 
   auto advance = [&](double now) {
     while (!in_flight.empty() && in_flight.front().first <= now) {
@@ -402,93 +190,208 @@ Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
     }
   };
 
-  // Services one request's probe slice, memoizing through the cache when
-  // attached. Adds the simulated time to *service.
-  auto serve_request = [&](const Request& req, double* service) -> Status {
-    std::vector<core::JoinMatch>* out =
-        serve_config_.collect_matches ? &report.matches : nullptr;
-    if (tenants.key_universe == 0) {
-      // Legacy cyclic slicing: the request's tuples come from wherever
-      // the cursor points, wrapping at the sample boundary.
-      uint64_t remaining = tpr;
-      while (remaining > 0) {
+  // One backend call with bounded seeded-backoff retry and hedging. Adds
+  // the backoff waits and the (possibly hedged) service time to *service
+  // and returns true, or false once the retry cap is exhausted (the
+  // caller sheds the unit). With the default retry_cap == 0 the first
+  // backend error stays fatal, as does Unimplemented (a backend without
+  // match collection), which no retry can fix. Matches a failed attempt
+  // appended to *out are trimmed before the next one.
+  auto service_slice = [&](uint64_t begin, uint64_t count,
+                           std::vector<core::JoinMatch>* out,
+                           double* service) -> Result<bool> {
+    const size_t kept = out != nullptr ? out->size() : 0;
+    double slice_time = 0;
+    int attempts = 0;
+    for (;;) {
+      Result<double> slice =
+          out != nullptr
+              ? backend->ServiceSliceCollect(begin, count, ordinal++, out)
+              : backend->ServiceSlice(begin, count, ordinal++);
+      if (slice.ok()) {
+        slice_time = *slice;
+        break;
+      }
+      if (out != nullptr) out->resize(kept);
+      if (retry.retry_cap == 0 ||
+          slice.status().code() == StatusCode::kUnimplemented) {
+        return slice.status();
+      }
+      if (attempts >= retry.retry_cap) {
+        ++report.robustness.retry_histogram[static_cast<size_t>(attempts)];
+        return false;
+      }
+      double wait = retry.backoff_base * std::ldexp(1.0, attempts);
+      if (retry.backoff_jitter > 0) {
+        wait *= 1.0 + retry.backoff_jitter *
+                          (2.0 * retry_rng.NextDouble() - 1.0);
+      }
+      *service += wait;
+      ++attempts;
+      ++report.robustness.retries;
+    }
+
+    // Hedged re-issue: a primary attempt running past the trigger is
+    // raced against the replica plan; the faster result wins.
+    if (retry.hedge_after > 0 && slice_time > retry.hedge_after) {
+      ++report.robustness.hedges;
+      Result<double> hedge = backend->ServiceHedge(begin, count, ordinal++);
+      if (hedge.ok()) {
+        const double hedged = retry.hedge_after + *hedge;
+        if (hedged < slice_time) {
+          slice_time = hedged;
+          ++report.robustness.hedge_wins;
+        }
+      }
+    }
+    if (!report.robustness.retry_histogram.empty()) {
+      ++report.robustness.retry_histogram[static_cast<size_t>(attempts)];
+    }
+    *service += slice_time;
+    return true;
+  };
+
+  // Services one unit — `tuples` from the cyclic cursor, or the keyed
+  // slice of `key` memoized through the cache when attached — adding its
+  // simulated time to *service. Returns false when the unit is shed for
+  // retry exhaustion; a shed unit leaves no matches behind.
+  auto serve_unit = [&](uint64_t key, uint64_t tuples,
+                        double* service) -> Result<bool> {
+    const size_t kept = collect != nullptr ? collect->size() : 0;
+    Result<bool> served = true;
+    if (!keyed) {
+      // Cyclic slicing: the tuples come from wherever the cursor points,
+      // split at the sample wrap.
+      for (uint64_t remaining = tuples; remaining > 0;) {
         const uint64_t take = std::min(remaining, sample - cursor);
-        Result<double> slice =
-            backend.ServiceSliceCollect(cursor, take, ordinal++, out);
-        if (!slice.ok()) return slice.status();
-        *service += *slice;
+        served = service_slice(cursor, take, collect, service);
+        if (!served.ok()) return served;
+        if (!*served) break;
         cursor += take;
         if (cursor == sample) cursor = 0;
         remaining -= take;
       }
-      return Status();
-    }
-    const uint64_t begin = req.draw.key * tpr;
-    if (cache_ != nullptr && cache_->Lookup(req.draw.key, out, service)) {
-      return Status();
-    }
-    if (cache_ != nullptr) {
+    } else if (cache_ != nullptr) {
+      if (cache_->Lookup(key, collect, service)) return true;
       scratch.clear();
-      Result<double> slice =
-          backend.ServiceSliceCollect(begin, tpr, ordinal++, &scratch);
-      if (!slice.ok()) return slice.status();
-      *service += *slice;
-      if (out != nullptr) {
-        out->insert(out->end(), scratch.begin(), scratch.end());
+      served = service_slice(key * tpr, tpr, &scratch, service);
+      if (served.ok() && *served) {
+        if (collect != nullptr) {
+          collect->insert(collect->end(), scratch.begin(), scratch.end());
+        }
+        cache_->Insert(key, scratch, service);
       }
-      cache_->Insert(req.draw.key, scratch, service);
-      return Status();
+    } else {
+      served = service_slice(key * tpr, tpr, collect, service);
     }
-    Result<double> slice =
-        backend.ServiceSliceCollect(begin, tpr, ordinal++, out);
-    if (!slice.ok()) return slice.status();
-    *service += *slice;
-    return Status();
+    if (served.ok() && !*served && collect != nullptr) collect->resize(kept);
+    return served;
   };
 
-  // Closes one batch at `close_t`: the scheduler picks up to the current
-  // adaptive batch size from the queues (FIFO or deficit-weighted fair),
-  // the batch is serviced request by request, and each request's sojourn
-  // lands in its tier's histogram.
+  // Closes one batch at `close_t`: the router pops up to the current
+  // adaptive batch size (FIFO or deficit-weighted fair), requests whose
+  // deadline budget already ran out are shed before dispatch, the rest
+  // are serviced unit by unit, and each request's sojourn lands in the
+  // latency histogram (and its tier's).
   auto close_batch = [&](double close_t, bool by_deadline) -> Status {
     batch_ids.clear();
     router.PopBatch(batcher.batch_tuples(), &batch_ids);
     if (batch_ids.empty()) return Status();
+    for (uint64_t id : batch_ids) requests[id - first_id].dequeued = true;
     const double start = std::max(close_t, server_free);
 
-    double service = 0;
-    for (uint64_t id : batch_ids) {
-      requests[id].served = true;
-      if (Status st = serve_request(requests[id], &service); !st.ok()) {
-        return st;
+    // Deadline budgets: a request whose budget already ran out by the
+    // time its batch would start cannot be served in time, so it is
+    // shed before dispatch.
+    if (retry.deadline_seconds > 0) {
+      const auto doomed = [&](uint64_t id) {
+        return requests[id - first_id].arrival + retry.deadline_seconds <
+               start;
+      };
+      const auto kept =
+          std::remove_if(batch_ids.begin(), batch_ids.end(), doomed);
+      report.robustness.shed_deadline +=
+          static_cast<uint64_t>(batch_ids.end() - kept);
+      batch_ids.erase(kept, batch_ids.end());
+      if (batch_ids.empty()) {
+        batcher.ObserveBacklog(router.queued_requests() * tpr +
+                               in_flight_tuples);
+        return Status();
       }
     }
 
+    double service = 0;
+    if (ingesting) {
+      // Writes admitted before this batch land in the deltas now (epoch
+      // swaps completing in the gap stall the batch), and every probe
+      // pays the delta/overlay consult surcharge.
+      service += ingest_->AdvanceTo(start);
+      ingest_->RecordBatchStaleness(start);
+      service += ingest_->LookupSurchargeSeconds(batch_ids.size() * tpr);
+    }
+
+    // Service units: an untenanted batch is one cyclic window run, a
+    // tenanted request its own window; each window flushes the caches
+    // (DESIGN.md §10). Exhausted retries shed only their own unit.
+    const size_t unit_requests = tenanted ? 1 : batch_ids.size();
+    size_t served = 0;
+    for (size_t u = 0; u < batch_ids.size(); u += unit_requests) {
+      const uint64_t key = requests[batch_ids[u] - first_id].draw.key;
+      Result<bool> ok = serve_unit(key, unit_requests * tpr, &service);
+      if (!ok.ok()) return ok.status();
+      if (!*ok) {
+        report.robustness.shed_retry_exhausted += unit_requests;
+        continue;
+      }
+      for (size_t k = u; k < u + unit_requests; ++k) {
+        batch_ids[served++] = batch_ids[k];
+      }
+    }
+    batch_ids.resize(served);
+
     const double end = start + service;
     server_free = end;
-    const uint64_t n_tuples = batch_ids.size() * tpr;
-    for (uint64_t id : batch_ids) {
-      const Request& req = requests[id];
-      report.latency.Record(end - req.arrival);
-      report.queue_seconds_total += start - req.arrival;
-      router.CountServed(req.draw, end - req.arrival);
-    }
-    report.service_seconds_total +=
-        service * static_cast<double>(batch_ids.size());
-    in_flight.emplace_back(end, n_tuples);
-    in_flight_tuples += n_tuples;
-
-    ++report.counters.batches;
-    report.counters.tuples_served += n_tuples;
-    if (by_deadline) {
-      ++report.counters.deadline_batches;
-    } else {
-      ++report.counters.size_batches;
-    }
     report.sim_seconds = std::max(report.sim_seconds, end);
+    if (!batch_ids.empty()) {
+      const uint64_t n_tuples = batch_ids.size() * tpr;
+      for (uint64_t id : batch_ids) {
+        const Request& req = requests[id - first_id];
+        report.latency.Record(end - req.arrival);
+        report.queue_seconds_total += start - req.arrival;
+        if (retry.deadline_seconds > 0 &&
+            end - req.arrival > retry.deadline_seconds) {
+          ++report.robustness.deadline_misses;
+        }
+        router.CountServed(req.draw, end - req.arrival);
+      }
+      report.service_seconds_total +=
+          service * static_cast<double>(batch_ids.size());
+      in_flight.emplace_back(end, n_tuples);
+      in_flight_tuples += n_tuples;
+
+      ++report.counters.batches;
+      ++(by_deadline ? report.counters.deadline_batches
+                     : report.counters.size_batches);
+      report.counters.tuples_served += n_tuples;
+    }
 
     batcher.ObserveBacklog(router.queued_requests() * tpr +
                            in_flight_tuples);
+    return Status();
+  };
+
+  // Closes, each at its deadline, the batches whose oldest queued request
+  // times out before `until` (kNever drains the queues).
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  auto close_expired = [&](double until) -> Status {
+    for (const Request* oldest = oldest_queued(); oldest != nullptr;
+         oldest = oldest_queued()) {
+      const double deadline = batcher.DeadlineFor(oldest->arrival);
+      if (deadline >= until) break;
+      advance(deadline);
+      Status st = close_batch(deadline, /*by_deadline=*/true);
+      if (!st.ok()) return st;
+    }
     return Status();
   };
 
@@ -496,16 +399,7 @@ Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
     const double t = gen.Next();
 
     // Deadlines that expire before this arrival close their batch first.
-    for (const Request* oldest = oldest_queued(); oldest != nullptr;
-         oldest = oldest_queued()) {
-      const double deadline = batcher.DeadlineFor(oldest->arrival);
-      if (deadline >= t) break;
-      advance(deadline);
-      if (Status st = close_batch(deadline, /*by_deadline=*/true);
-          !st.ok()) {
-        return st;
-      }
-    }
+    if (Status st = close_expired(t); !st.ok()) return st;
     advance(t);
 
     TenantRouter::Draw draw = router.NextArrival();
@@ -522,9 +416,8 @@ Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
       continue;
     }
     ++report.counters.requests_admitted;
-    const uint64_t id = requests.size();
+    const uint64_t id = first_id + requests.size();
     requests.push_back(Request{t, draw, false});
-    queued_order.push_back(id);
     router.Enqueue(draw, id);
 
     if (batcher.SizeTriggered(router.queued_requests() * tpr)) {
@@ -534,16 +427,11 @@ Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
     }
   }
 
-  // Drain: remaining queued requests go out on their deadlines, in
-  // scheduling order, one bounded batch at a time.
-  for (const Request* oldest = oldest_queued(); oldest != nullptr;
-       oldest = oldest_queued()) {
-    const double deadline = batcher.DeadlineFor(oldest->arrival);
-    advance(deadline);
-    if (Status st = close_batch(deadline, /*by_deadline=*/true); !st.ok()) {
-      return st;
-    }
-  }
+  // Drain: the stream ended, so the remaining queued requests go out on
+  // their deadlines, in scheduling order, one bounded batch at a time.
+  if (Status st = close_expired(kNever); !st.ok()) return st;
+
+  if (ingesting) ingest_->Finish(report.sim_seconds);
 
   report.counters.window_grows = batcher.grows();
   report.counters.window_shrinks = batcher.shrinks();
@@ -556,7 +444,7 @@ Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
         static_cast<double>(report.counters.tuples_served) /
         report.sim_seconds;
   }
-  router.FillStats(&report.tenants);
+  if (tenanted) router.FillStats(&report.tenants);
   if (cache_ != nullptr) report.tenants.cache = cache_->FinalStats();
   return report;
 }

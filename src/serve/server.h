@@ -76,11 +76,11 @@ struct RetryPolicy {
   // (never dispatched); one served past its budget counts as a deadline
   // miss. 0 disables.
   double deadline_seconds = 0;
-  // Backoff retries allowed per batch slice when the backend errors;
-  // 0 keeps the first error fatal. When the cap is exhausted the batch
-  // is shed (its requests dropped, the server keeps running) instead of
-  // surfacing the error — a stuck backend degrades to lost requests,
-  // not a wedged server.
+  // Backoff retries allowed per backend call when the backend errors;
+  // 0 keeps the first error fatal. An exhausted cap sheds the service
+  // unit (an untenanted batch, or one tenanted request) and the server
+  // keeps running: a stuck backend degrades to lost requests, not a
+  // wedged server.
   int retry_cap = 0;
   // Simulated wait before the first retry; doubles per attempt, with a
   // seeded uniform +/- `backoff_jitter` fraction on top so retry storms
@@ -113,14 +113,13 @@ struct ServeConfig {
   // backlog (pending + in-flight tuples) past this. 0 disables shedding.
   uint64_t max_backlog_tuples = (uint64_t{256} << 20) / 8;  // 256 MiB
   RetryPolicy retry;
-  // Multi-tenant mode (default off: num_tenants == 0 keeps the original
-  // single-tenant event loop and its bit-identical output). See
-  // serve/tenant.h.
+  // Tenancy (see serve/tenant.h). The default num_tenants == 0 serves as
+  // one implicit tenant: FIFO, one unlimited tier, cyclic slicing.
   TenantConfig tenants;
   // Collects every served request's join matches into
-  // ServeReport::matches (tenant mode only; needs a backend that
-  // implements ServiceSliceCollect). The regression hook behind the
-  // cache-on/off match-identity check — leave off for large runs.
+  // ServeReport::matches (needs a backend that implements
+  // ServiceSliceCollect). The regression hook behind the cache-on/off
+  // match-identity check — leave off for large runs.
   bool collect_matches = false;
 };
 
@@ -153,12 +152,12 @@ struct ServeReport {
   double achieved_tuples_per_sec = 0;
   uint64_t final_batch_tuples = 0;    // adaptive batch size at the end
   // Retry/hedge/deadline activity (all-zero with the default
-  // RetryPolicy; retry_histogram[k] = batch slices that needed exactly
+  // RetryPolicy; retry_histogram[k] = backend calls that needed exactly
   // k backoff retries).
   obs::RobustnessStats robustness;
-  // Tenant-mode accounting: per-tier admission/latency plus the result
-  // cache's hit/eviction counters. Empty (any() == false) outside tenant
-  // mode.
+  // Tenant accounting: per-tier admission/latency plus the result
+  // cache's hit/eviction counters. Empty (any() == false) when
+  // tenants.num_tenants == 0.
   obs::TenantStats tenants;
   // Every served request's join matches, in service order, when
   // ServeConfig::collect_matches is set (empty otherwise).
@@ -167,12 +166,19 @@ struct ServeReport {
 
 // Streams simulated request arrivals into the windowed INLJ: an open-loop
 // arrival process feeds a micro-batcher (size-or-deadline close, see
-// BatchPolicy), each closed batch runs as one window through
-// core::WindowJoiner over a cyclic cursor on the probe sample, and every
-// request's sojourn time lands in a log-bucketed histogram. A single
-// serving "GPU" drains batches in close order; admission control sheds
-// requests once the backlog bound is hit, so overload degrades to lost
-// requests instead of unbounded latency.
+// BatchPolicy) through a TenantRouter (token-bucket admission, FIFO or
+// deficit-weighted-fair queues), and every request's sojourn time lands
+// in a log-bucketed histogram. A single serving "GPU" drains batches in
+// close order; admission control sheds requests once the backlog bound
+// is hit, so overload degrades to lost requests instead of unbounded
+// latency.
+//
+// One event loop serves every configuration (untenanted serving is the
+// one-tenant FIFO case); only the service unit depends on tenancy. An
+// untenanted batch runs as one window run over a cyclic cursor on the
+// probe sample, split only at the sample wrap; a tenanted request runs
+// as its own window, keyed through the result cache or cyclic. Retry,
+// hedging and retry-exhaustion shedding act per unit.
 //
 // Everything runs on the simulated clock (arrival gaps + cost-model
 // window times); a fixed config and seed reproduce the run bit for bit.
@@ -204,9 +210,10 @@ class RequestServer {
     return *this;
   }
 
-  // Attaches the hot-key result cache (tenant mode with keyed requests
-  // only; Run() rejects a cache without tenants.key_universe > 0). Not
-  // owned; must outlive Run(). Null detaches.
+  // Attaches the hot-key result cache. Run() rejects it without keyed
+  // requests (tenants.key_universe > 0) and alongside an active ingest
+  // coordinator, whose epoch swaps would invalidate memoized match sets.
+  // Not owned; must outlive Run(). Null detaches.
   RequestServer& AttachCache(ResultCache* cache) {
     cache_ = cache;
     return *this;
@@ -215,11 +222,6 @@ class RequestServer {
   Result<ServeReport> Run();
 
  private:
-  // The multi-tenant event loop: token-bucket admission, per-tenant
-  // queues drained FIFO or deficit-weighted-fair, keyed per-request
-  // service with optional memoization.
-  Result<ServeReport> RunTenants(WindowBackend& backend);
-
   WindowBackend* backend_ = nullptr;  // null: build a local WindowJoiner
   IngestCoordinator* ingest_ = nullptr;
   ResultCache* cache_ = nullptr;

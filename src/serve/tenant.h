@@ -44,13 +44,15 @@ enum class TenantScheduler : uint8_t {
   kDeficitWeightedFair,
 };
 
-// Multi-tenant serving knobs. Default num_tenants == 0 keeps the server
-// in its original single-tenant mode with bit-identical output.
+// Multi-tenant serving knobs. The default num_tenants == 0 serves every
+// request as one implicit tenant (FIFO, one unlimited tier, cyclic
+// slicing) through the same event loop, with its batches unchanged.
 struct TenantConfig {
-  // Number of tenants; 0 disables tenant mode entirely.
+  // Number of tenants; 0 serves as the one implicit tenant above.
   uint64_t num_tenants = 0;
 
-  // Service tiers (must be non-empty in tenant mode; names unique).
+  // Service tiers (must be non-empty when num_tenants > 0; names
+  // unique).
   std::vector<TenantTier> tiers;
 
   // Popularity skew of the tenant draw (Zipf exponent; 0 = uniform).
@@ -69,7 +71,7 @@ struct TenantConfig {
 
   // Hot-key request model: each request probes the slice of `tuples_per
   // request` probe-sample rows selected by a key drawn Zipf(key_zipf)
-  // from [0, key_universe). 0 keeps the legacy cyclic-cursor slicing
+  // from [0, key_universe). 0 keeps cyclic-cursor slicing
   // (and disables the result cache, which needs keyed requests).
   uint64_t key_universe = 0;
   double key_zipf = 1.75;
@@ -123,7 +125,6 @@ class TenantRouter {
   // (at least one request), even if its tuples exceed the budget.
   void PopBatch(uint64_t budget_tuples, std::vector<uint64_t>* out);
 
-  bool queue_empty() const { return queued_requests_ == 0; }
   uint64_t queued_requests() const { return queued_requests_; }
 
   // Per-tier accounting (indexes parallel config.tiers).
@@ -134,7 +135,6 @@ class TenantRouter {
   // Fills scheduler/tiers/tenant fields of *stats (not the cache section).
   void FillStats(obs::TenantStats* stats) const;
 
-  const TenantConfig& config() const { return config_; }
   uint32_t TierOf(uint64_t tenant) const {
     return static_cast<uint32_t>(tenant % config_.tiers.size());
   }

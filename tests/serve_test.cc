@@ -1,7 +1,8 @@
 // Serving-layer tests: arrival generators, the micro-batch policy, and
 // the end-to-end RequestServer against the windowed INLJ — batch
-// boundaries under deterministic arrivals, latency at low load, and
-// shedding with bounded tails past saturation.
+// boundaries under deterministic arrivals, latency at low load,
+// shedding with bounded tails past saturation, and the retry, hedge and
+// deadline machinery with and without tenants.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +11,11 @@
 #include "core/experiment.h"
 #include "core/window_join.h"
 #include "obs/histogram.h"
+#include "obs/tenant.h"
 #include "serve/arrival.h"
 #include "serve/batcher.h"
 #include "serve/server.h"
+#include "serve/tenant.h"
 
 namespace gpujoin::serve {
 namespace {
@@ -588,6 +591,119 @@ TEST(RetryPolicy, HedgeLosesWhenReplicaIsSlower) {
 
   EXPECT_EQ(r.robustness.hedges, static_cast<uint64_t>(sc.requests));
   EXPECT_EQ(r.robustness.hedge_wins, 0u);
+}
+
+// --------------------------------------------------------------------
+// Tenancy composes with the retry machinery: one event loop, in which
+// each tenanted request is its own service unit.
+
+ServeConfig TenantRetryServeConfig() {
+  ServeConfig sc = RetryServeConfig();
+  sc.batch.batch_tuples = 4 * sc.tuples_per_request;  // 4 requests/batch
+  sc.batch.min_batch_tuples = sc.batch.batch_tuples;
+  sc.tenants.num_tenants = 4;
+  sc.tenants.tiers = {TenantTier{"gold", 2.0, 0, 0},
+                      TenantTier{"bronze", 1.0, 0, 0}};
+  sc.tenants.seed = 7;
+  return sc;
+}
+
+uint64_t TierServed(const ServeReport& r) {
+  uint64_t served = 0;
+  for (const obs::TenantTierStats& t : r.tenants.tiers) served += t.served;
+  return served;
+}
+
+TEST(RetryPolicy, TenantRetryCapHoldsPerRequest) {
+  // A stuck backend: every request is attempted exactly 1 + retry_cap
+  // times and shed on its own, not with its batch.
+  ServeConfig sc = TenantRetryServeConfig();
+  sc.retry.retry_cap = 3;
+  FlakyBackend backend(1e-5, /*fail_first=*/-1);
+  ServeReport r = RequestServer(backend, sc).Run().value();
+
+  const uint64_t n = sc.requests;
+  EXPECT_EQ(r.counters.requests_admitted, n);
+  EXPECT_EQ(r.robustness.shed_retry_exhausted, n);
+  EXPECT_EQ(r.latency.count(), 0u);
+  EXPECT_EQ(r.counters.batches, 0u);
+  EXPECT_EQ(static_cast<uint64_t>(backend.slice_calls()), n * 4);
+  EXPECT_EQ(r.robustness.retries, n * 3);
+  ASSERT_EQ(r.robustness.retry_histogram.size(), 4u);
+  EXPECT_EQ(r.robustness.retry_histogram[3], n);
+  EXPECT_EQ(TierServed(r), 0u);
+}
+
+TEST(RetryPolicy, TenantRetriesAreSeedDeterministic) {
+  ServeConfig sc = TenantRetryServeConfig();
+  sc.retry.retry_cap = 3;
+  sc.retry.backoff_jitter = 0.5;
+  // The first request fails all four attempts and is shed; the second
+  // fails twice, then succeeds.
+  auto run_once = [&sc]() {
+    FlakyBackend backend(1e-5, /*fail_first=*/6);
+    return RequestServer(backend, sc).Run().value();
+  };
+  const ServeReport a = run_once();
+  const ServeReport b = run_once();
+
+  EXPECT_EQ(a.robustness.shed_retry_exhausted, 1u);
+  EXPECT_EQ(a.robustness.retries, 5u);
+  EXPECT_EQ(a.latency.count(), static_cast<uint64_t>(sc.requests) - 1);
+  EXPECT_EQ(TierServed(a), a.latency.count());
+  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
+  EXPECT_EQ(a.service_seconds_total, b.service_seconds_total);
+  EXPECT_EQ(a.robustness.retry_histogram, b.robustness.retry_histogram);
+  EXPECT_EQ(obs::TenantsJson(a.tenants), obs::TenantsJson(b.tenants));
+}
+
+TEST(RetryPolicy, TenantRequestsHedgeIndividually) {
+  ServeConfig sc = TenantRetryServeConfig();
+  sc.retry.hedge_after = 1e-4;
+  // Primary 1 ms, replica 0.1 ms: every request hedges and wins, so each
+  // is charged hedge_after + replica = 0.2 ms.
+  FlakyBackend backend(1e-3, /*fail_first=*/0, /*hedge_seconds=*/1e-4);
+  ServeReport r = RequestServer(backend, sc).Run().value();
+
+  const uint64_t n = sc.requests;
+  EXPECT_EQ(r.latency.count(), n);
+  EXPECT_EQ(r.robustness.hedges, n);
+  EXPECT_EQ(r.robustness.hedge_wins, n);
+  EXPECT_EQ(static_cast<uint64_t>(backend.hedge_calls()), n);
+  // Every batch holds 4 requests, and each waits for the whole batch.
+  EXPECT_EQ(r.counters.batches, n / 4);
+  EXPECT_NEAR(r.service_seconds_total, static_cast<double>(n) * 4 * 2e-4,
+              1e-12);
+}
+
+TEST(RetryPolicy, TenantDoomedRequestsAreShedBeforeDispatch) {
+  ServeConfig sc = TenantRetryServeConfig();
+  // 1 ms per request against arrivals every 0.1 ms: the queue outgrows
+  // a 0.5 ms budget, so later requests are doomed before dispatch.
+  sc.retry.deadline_seconds = 5e-4;
+  FlakyBackend backend(1e-3, /*fail_first=*/0);
+  ServeReport r = RequestServer(backend, sc).Run().value();
+
+  EXPECT_GT(r.robustness.shed_deadline, 0u);
+  EXPECT_GT(r.latency.count(), 0u);
+  // Every admitted request is either served or shed after admission.
+  EXPECT_EQ(r.counters.requests_admitted,
+            r.latency.count() + r.robustness.shed_deadline +
+                r.robustness.shed_retry_exhausted);
+  EXPECT_EQ(TierServed(r), r.latency.count());
+}
+
+TEST(RetryPolicy, MissingMatchCollectionIsNeverRetried) {
+  // FlakyBackend has no match collection: retrying cannot fix that, so
+  // the Unimplemented error surfaces instead of shedding every batch.
+  ServeConfig sc = RetryServeConfig();
+  sc.retry.retry_cap = 3;
+  sc.collect_matches = true;
+  FlakyBackend backend(1e-5, /*fail_first=*/0);
+  auto r = RequestServer(backend, sc).Run();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(backend.slice_calls(), 0);
 }
 
 TEST(RetryPolicy, InvalidKnobsAreNamedInTheError) {

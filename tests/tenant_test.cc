@@ -1,36 +1,49 @@
 // Multi-tenant serving tests: token-bucket admission, deficit-weighted-
 // fair scheduling (one flooding tenant must not inflate the other tiers'
 // p99), the hot-key result cache (deterministic eviction, match-set
-// identity against the uncached path), and fixed-seed reproducibility of
-// the whole tenant loop.
+// identity against the uncached path), fixed-seed reproducibility of
+// the whole tenant loop, and tenancy composed with retries, match
+// collection and live ingest.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/match.h"
+#include "core/window_join.h"
 #include "mem/address_space.h"
 #include "obs/tenant.h"
 #include "serve/arrival.h"
 #include "serve/cache.h"
+#include "serve/ingest.h"
 #include "serve/server.h"
 #include "serve/tenant.h"
+#include "sim/cost_model.h"
 #include "sim/gpu.h"
 #include "sim/specs.h"
+#include "workload/key_column.h"
 
 namespace gpujoin::serve {
 namespace {
 
 // Deterministic synthetic backend: service time is linear in tuples and
 // the match set is a pure function of the slice, so cache-on and
-// cache-off runs must reproduce identical matches.
+// cache-off runs must reproduce identical matches. Calls numbered
+// [fail_from, fail_to) (from 0) fail after appending a stray partial
+// match, which shows up as a duplicate if a retry keeps it.
 class FakeBackend final : public WindowBackend {
  public:
-  FakeBackend(uint64_t sample, double seconds_per_tuple)
-      : sample_(sample), seconds_per_tuple_(seconds_per_tuple) {}
+  FakeBackend(uint64_t sample, double seconds_per_tuple, int fail_from = 0,
+              int fail_to = 0)
+      : sample_(sample),
+        seconds_per_tuple_(seconds_per_tuple),
+        fail_from_(fail_from),
+        fail_to_(fail_to) {}
 
   uint64_t sample_size() const override { return sample_; }
 
@@ -42,6 +55,11 @@ class FakeBackend final : public WindowBackend {
   Result<double> ServiceSliceCollect(
       uint64_t begin, uint64_t count, uint64_t /*ordinal*/,
       std::vector<core::JoinMatch>* collect) override {
+    const int call = calls_++;
+    if (call >= fail_from_ && call < fail_to_) {
+      if (collect != nullptr) collect->push_back(core::JoinMatch{begin, 0});
+      return Status::Internal("injected backend failure");
+    }
     if (collect != nullptr) {
       for (uint64_t i = 0; i < count; i += 8) {
         collect->push_back(core::JoinMatch{begin + i, 2 * (begin + i) + 1});
@@ -53,6 +71,9 @@ class FakeBackend final : public WindowBackend {
  private:
   uint64_t sample_;
   double seconds_per_tuple_;
+  int fail_from_;
+  int fail_to_;
+  int calls_ = 0;
 };
 
 TenantConfig TwoTierConfig() {
@@ -410,12 +431,11 @@ TEST(RequestServer, TenantModeRejectsIncompatibleKnobs) {
   FakeBackend backend(1 << 20, 1e-7);
 
   {
+    // Tenants compose with retries.
     ServeConfig sc = TenantServeConfig();
     sc.retry.retry_cap = 2;
     RequestServer server(backend, sc);
-    auto r = server.Run();
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.status().ToString().find("retry"), std::string::npos);
+    EXPECT_TRUE(server.Run().ok());
   }
   {
     // Keyed requests must fit inside the probe sample.
@@ -424,6 +444,19 @@ TEST(RequestServer, TenantModeRejectsIncompatibleKnobs) {
     RequestServer server(backend, sc);
     auto r = server.Run();
     ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().ToString().find("key_universe"),
+              std::string::npos);
+  }
+  {
+    // ...even when key_universe * tuples_per_request wraps around 2^64
+    // (here to 4, which would pass a multiplied check).
+    ServeConfig sc = TenantServeConfig();
+    sc.tuples_per_request = 4;
+    sc.tenants.key_universe = (uint64_t{1} << 62) + 1;
+    RequestServer server(backend, sc);
+    auto r = server.Run();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(r.status().ToString().find("key_universe"),
               std::string::npos);
   }
@@ -453,14 +486,248 @@ TEST(RequestServer, TenantModeRejectsIncompatibleKnobs) {
     EXPECT_NE(r2.status().ToString().find("tenant"), std::string::npos);
   }
   {
+    // Untenanted serving collects matches too.
     ServeConfig sc = TenantServeConfig();
     sc.tenants.num_tenants = 0;
     sc.collect_matches = true;
     RequestServer server(backend, sc);
+    EXPECT_TRUE(server.Run().ok());
+  }
+  {
+    // Memoized match sets would outlive an epoch swap, so the cache is
+    // refused alongside an active ingest coordinator.
+    mem::AddressSpace space;
+    sim::Gpu gpu(&space, sim::V100NvLink2());
+    ResultCacheConfig cc;
+    cc.reserved_bytes = 1 << 16;
+    auto cache = ResultCache::Create(cc, gpu).value();
+    workload::MaterializedKeyColumn base(
+        &space, workload::GenerateSortedUniqueKeys(1024, 3));
+    const sim::CostModel cost(sim::V100NvLink2());
+    IngestCoordinator::Config ic;
+    ic.ops.rate = 1e5;
+    auto coord = IngestCoordinator::Create(ic, &space, &base, &cost, 1,
+                                           [](workload::Key) { return 0; })
+                     .value();
+    ServeConfig sc = TenantServeConfig();
+    sc.tenants.key_universe = 64;
+    RequestServer server(backend, sc);
+    server.AttachCache(cache.get()).AttachIngest(coord.get());
     auto r = server.Run();
     ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.status().ToString().find("collect_matches"),
-              std::string::npos);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().ToString().find("ingest"), std::string::npos);
+  }
+}
+
+TEST(RequestServer, TenantMatchSetsSurviveRetries) {
+  // Fail-then-succeed: the first request fails three times, appending a
+  // stray partial match each time, and succeeds on its last retry. The
+  // collected multiset must equal the fault-free run's, for cyclic
+  // slicing and for keyed requests through the cache.
+  for (const uint64_t key_universe : {uint64_t{0}, uint64_t{64}}) {
+    ServeConfig sc = TenantServeConfig();
+    sc.requests = 2000;
+    sc.collect_matches = true;
+    sc.tenants.key_universe = key_universe;
+    sc.retry.retry_cap = 3;
+    auto run_once = [&](int fail_to) {
+      mem::AddressSpace space;
+      sim::Gpu gpu(&space, sim::V100NvLink2());
+      ResultCacheConfig cc;
+      cc.reserved_bytes = 64 << 10;
+      auto cache = ResultCache::Create(cc, gpu).value();
+      FakeBackend backend(64 * 64, 1e-7, 0, fail_to);
+      RequestServer server(backend, sc);
+      if (key_universe > 0) server.AttachCache(cache.get());
+      return server.Run().value();
+    };
+    const ServeReport clean = run_once(0);
+    const ServeReport flaky = run_once(3);
+
+    EXPECT_EQ(flaky.robustness.retries, 3u) << key_universe;
+    EXPECT_EQ(flaky.robustness.shed_retry_exhausted, 0u) << key_universe;
+    EXPECT_EQ(flaky.latency.count(), sc.requests) << key_universe;
+    std::vector<core::JoinMatch> a = clean.matches;
+    std::vector<core::JoinMatch> b = flaky.matches;
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    EXPECT_FALSE(a.empty()) << key_universe;
+    EXPECT_EQ(a, b) << key_universe;
+  }
+}
+
+TEST(RequestServer, UntenantedCollectsEveryWindowsMatches) {
+  // A sample of 100 requests: batches of 16 straddle the wrap, so the
+  // cursor splits windows there.
+  ServeConfig sc = TenantServeConfig();
+  sc.tenants.num_tenants = 0;
+  sc.requests = 2000;
+  sc.collect_matches = true;
+  const uint64_t sample = 100 * sc.tuples_per_request;
+  FakeBackend backend(sample, 1e-7);
+  ServeReport r = RequestServer(backend, sc).Run().value();
+  ASSERT_EQ(r.latency.count(), sc.requests);
+  EXPECT_FALSE(r.tenants.any());
+
+  // The windows tile the cyclic cursor from row 0, so the matches are
+  // FakeBackend's (every 8th row) over [0, requests * tpr) mod sample.
+  std::vector<core::JoinMatch> expected;
+  for (uint64_t p = 0; p < sc.requests * sc.tuples_per_request; p += 8) {
+    const uint64_t row = p % sample;
+    expected.push_back(core::JoinMatch{row, 2 * row + 1});
+  }
+  EXPECT_EQ(r.matches, expected);
+}
+
+TEST(RequestServer, ShedUntenantedBatchLeavesNoMatches) {
+  // Batches of 16 requests (1024 rows) over a 2560-row sample: batch 3
+  // covers [2048, 2560) and wraps to [0, 512). Its wrapped half fails
+  // both attempts (calls 3 and 4), so the whole batch is shed, and the
+  // matches its first half collected must go with it.
+  ServeConfig sc = TenantServeConfig();
+  sc.tenants.num_tenants = 0;
+  sc.requests = 5 * 16;
+  sc.batch.deadline_seconds = 1.0;
+  sc.collect_matches = true;
+  sc.retry.retry_cap = 1;
+  FakeBackend backend(2560, 1e-7, /*fail_from=*/3, /*fail_to=*/5);
+  ServeReport r = RequestServer(backend, sc).Run().value();
+
+  EXPECT_EQ(r.robustness.shed_retry_exhausted, 16u);
+  EXPECT_EQ(r.latency.count(), 4u * 16);
+  // The cursor stays at the failed slice, so batches 4 and 5 cover
+  // [0, 2048) again.
+  std::vector<core::JoinMatch> expected;
+  for (int lap = 0; lap < 2; ++lap) {
+    for (uint64_t row = 0; row < 2048; row += 8) {
+      expected.push_back(core::JoinMatch{row, 2 * row + 1});
+    }
+  }
+  EXPECT_EQ(r.matches, expected);
+}
+
+TEST(RequestServer, UntenantedCollectMatchesOneWholeSampleWindow) {
+  // Real windowed INLJ: serving exactly one pass over the probe sample
+  // collects the same match multiset as one window over all of it.
+  core::ExperimentConfig ecfg;
+  ecfg.r_tuples = uint64_t{1} << 20;
+  ecfg.s_tuples = uint64_t{1} << 17;
+  ecfg.s_sample = uint64_t{1} << 15;
+  ecfg.inlj.mode = core::InljConfig::PartitionMode::kWindowed;
+
+  ServeConfig sc;
+  sc.arrival.model = ArrivalModel::kDeterministic;
+  sc.arrival.rate = 20000;
+  sc.tuples_per_request = 512;
+  sc.requests = ecfg.s_sample / sc.tuples_per_request;
+  sc.batch.batch_tuples = 4 * 512;
+  sc.batch.min_batch_tuples = sc.batch.batch_tuples;
+  sc.batch.adaptive = false;
+  sc.max_backlog_tuples = 0;
+  sc.collect_matches = true;
+
+  auto exp = core::Experiment::Create(ecfg);
+  ASSERT_TRUE(exp.ok());
+  (*exp)->ResetForRun();
+  RequestServer server((*exp)->gpu(), (*exp)->index(), (*exp)->s(),
+                       ecfg.inlj, sc);
+  ServeReport r = server.Run().value();
+  ASSERT_EQ(r.counters.tuples_served, ecfg.s_sample);
+
+  auto ref_exp = core::Experiment::Create(ecfg);
+  ASSERT_TRUE(ref_exp.ok());
+  (*ref_exp)->ResetForRun();
+  auto joiner = core::WindowJoiner::Create(
+                    (*ref_exp)->gpu(), (*ref_exp)->index(), (*ref_exp)->s(),
+                    ecfg.inlj, ecfg.s_sample)
+                    .value();
+  std::vector<core::JoinMatch> expected;
+  ASSERT_TRUE(joiner.RunWindow(0, ecfg.s_sample, 0, &expected).ok());
+
+  std::vector<core::JoinMatch> got = r.matches;
+  std::sort(got.begin(), got.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(got, expected);
+}
+
+TEST(RequestServer, TenantsComposeWithLiveIngest) {
+  // Keyed tenants serving under a live write stream (the setup of
+  // htap_test's serving cells): no admitted request is lost across the
+  // epoch swaps, and reads equal a replay of the applied-op log.
+  core::ExperimentConfig ecfg;
+  ecfg.r_tuples = uint64_t{1} << 20;
+  ecfg.s_tuples = uint64_t{1} << 17;
+  ecfg.s_sample = uint64_t{1} << 15;
+  ecfg.inlj.mode = core::InljConfig::PartitionMode::kWindowed;
+  auto exp = core::Experiment::Create(ecfg);
+  ASSERT_TRUE(exp.ok());
+  (*exp)->ResetForRun();
+
+  mem::AddressSpace ingest_space;
+  const sim::CostModel cost(sim::V100NvLink2());
+  IngestCoordinator::Config ic;
+  ic.ops.model = ArrivalModel::kPoisson;
+  ic.ops.rate = 5e5;
+  ic.ops.seed = 17;
+  ic.seed = 23;
+  ic.merge_threshold = 256;
+  ic.hybrid.delta.tree.node_bytes = 256;
+  ic.record_log = true;
+  auto coord = IngestCoordinator::Create(ic, &ingest_space, &(*exp)->r(),
+                                         &cost, 1,
+                                         [](workload::Key) { return 0; })
+                   .value();
+
+  ServeConfig sc;
+  sc.arrival.model = ArrivalModel::kDeterministic;
+  sc.arrival.rate = 1e5;
+  sc.requests = 500;
+  sc.tuples_per_request = 512;
+  sc.batch.batch_tuples = 4 * 512;
+  sc.batch.min_batch_tuples = sc.batch.batch_tuples;
+  sc.batch.adaptive = false;
+  sc.max_backlog_tuples = 0;
+  sc.tenants = TwoTierConfig();
+  sc.tenants.key_universe = 64;  // 64 * 512 = the whole probe sample
+  RequestServer server((*exp)->gpu(), (*exp)->index(), (*exp)->s(),
+                       ecfg.inlj, sc);
+  server.AttachIngest(coord.get());
+  ServeReport r = server.Run().value();
+
+  EXPECT_EQ(r.counters.requests_shed, 0u);
+  EXPECT_EQ(r.latency.count(), r.counters.requests_admitted);
+  uint64_t tier_served = 0;
+  for (const obs::TenantTierStats& t : r.tenants.tiers) {
+    tier_served += t.served;
+  }
+  EXPECT_EQ(tier_served, r.latency.count());
+  EXPECT_GT(coord->stats().merges, 0u);
+  EXPECT_GT(coord->stats().staleness.count(), 0u);
+
+  // Replay the log in application order over the base (a base key's
+  // value is its position).
+  const workload::KeyColumn& base = (*exp)->r();
+  std::map<workload::Key, uint64_t> oracle;
+  std::set<workload::Key> op_keys;
+  for (const IngestCoordinator::Op& op : coord->log()) {
+    if (op_keys.insert(op.key).second) {
+      const uint64_t p = base.LowerBound(op.key);
+      if (p < base.size() && base.key_at(p) == op.key) oracle[op.key] = p;
+    }
+    if (op.kind == IngestCoordinator::Op::Kind::kDelete) {
+      oracle.erase(op.key);
+    } else {
+      oracle[op.key] = op.value;
+    }
+  }
+  ASSERT_FALSE(op_keys.empty());
+  for (workload::Key k : op_keys) {
+    const auto got = coord->Find(k);
+    const auto it = oracle.find(k);
+    ASSERT_EQ(got.has_value(), it != oracle.end()) << k;
+    if (got.has_value()) { ASSERT_EQ(*got, it->second) << k; }
   }
 }
 

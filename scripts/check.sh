@@ -43,7 +43,9 @@ require_file results/BENCH_tenant.json \
 require_file results/BENCH_cluster.json \
   "regenerate with: scripts/bench_multinode.sh"
 
-run_config build-release -DCMAKE_BUILD_TYPE=Release -DGPUJOIN_SANITIZE=
+# The regular configuration builds warning-free: -Werror keeps it so.
+run_config build-release -DCMAKE_BUILD_TYPE=Release -DGPUJOIN_SANITIZE= \
+  -DCMAKE_CXX_FLAGS=-Werror
 
 # Deterministic fault-recovery smoke: the ablation at its fixed seed must
 # stay byte-identical to the checked-in golden table.
@@ -53,6 +55,13 @@ scripts/fault_smoke.sh build-release
 # must regenerate byte-identical to their committed result files.
 scripts/bench_tenant.sh --check build-release
 scripts/bench_htap.sh --check build-release
+
+# Scale-out golden diffs: the sharded sweep, the kill-a-shard grid and
+# the multi-node grid (dist/ and cluster/ share one topology, window
+# step and failure detector) must regenerate byte-identical too.
+scripts/bench_dist.sh --check build-release
+scripts/bench_chaos.sh --check build-release
+scripts/bench_multinode.sh --check build-release
 
 # Metrics emission smoke: a small bench run with --json must produce
 # records that pass the schema_version 1 validator.

@@ -6,8 +6,6 @@
 #include <tuple>
 #include <utility>
 
-#include "util/bit_util.h"
-
 namespace gpujoin::cluster {
 
 namespace {
@@ -50,6 +48,10 @@ Result<std::unique_ptr<ClusterScheduler>> ClusterScheduler::Create(
   if (ccfg.gpus_per_node < 1) {
     return Status::InvalidArgument("gpus_per_node must be >= 1");
   }
+  if (!dist::IsNetworkTier(ccfg.network)) {
+    return Status::InvalidArgument(
+        "network must be a network tier (infiniband | ethernet)");
+  }
   if (ccfg.num_nodes > 1 &&
       cfg.sample_scheme ==
           core::ExperimentConfig::SampleSchemeOverride::kRangeRestricted) {
@@ -57,16 +59,9 @@ Result<std::unique_ptr<ClusterScheduler>> ClusterScheduler::Create(
         "a range-restricted sample spans a fraction of the key domain "
         "and cannot be routed across nodes; use kAuto or kThinned");
   }
-  if (!(ccfg.failover.heartbeat_timeout >= 0) ||
-      !std::isfinite(ccfg.failover.heartbeat_timeout)) {
-    return Status::InvalidArgument(
-        "failover.heartbeat_timeout must be finite and >= 0");
-  }
-  if (!(ccfg.failover.recovery_penalty >= 1) ||
-      !std::isfinite(ccfg.failover.recovery_penalty)) {
-    return Status::InvalidArgument(
-        "failover.recovery_penalty must be finite and >= 1");
-  }
+  Status hb = dist::ValidateHeartbeat(ccfg.failover.heartbeat_timeout,
+                                      ccfg.failover.recovery_penalty);
+  if (!hb.ok()) return hb;
   int adds = 0;
   for (const MembershipEvent& ev : ccfg.membership) {
     if (!(ev.at_seconds >= 0) || !std::isfinite(ev.at_seconds)) {
@@ -89,8 +84,8 @@ Result<std::unique_ptr<ClusterScheduler>> ClusterScheduler::Create(
   Status fst = ccfg.failover.node_faults.Validate(ccfg.num_nodes + adds);
   if (!fst.ok()) return fst;
 
-  Result<ClusterTopology> topo = ClusterTopology::Create(
-      ccfg.network, ccfg.num_nodes, ccfg.node_topology, ccfg.gpus_per_node);
+  Result<dist::Topology> topo =
+      dist::Topology::Create(ccfg.network, ccfg.num_nodes);
   if (!topo.ok()) return topo.status();
   std::unique_ptr<ClusterScheduler> engine(
       new ClusterScheduler(cfg, ccfg, *std::move(topo)));
@@ -114,7 +109,8 @@ Status ClusterScheduler::Build() {
                                                     cfg_.r_tuples);
   }
 
-  Result<NodePlan> plan = NodePlanner::Plan(*r_, ccfg_.num_nodes);
+  Result<dist::ShardPlan> plan =
+      dist::ShardPlanner::Plan(*r_, ccfg_.num_nodes);
   if (!plan.ok()) return plan.status();
   plan_ = *std::move(plan);
 
@@ -137,8 +133,8 @@ Status ClusterScheduler::Build() {
       // the second level of the two-level plan. With one node the
       // engine stays unrestricted, which is what makes delegation
       // bit-identical to dist.
-      dcfg.r_begin = plan_.node_r_begin(n);
-      dcfg.r_end = plan_.node_r_end(n);
+      dcfg.r_begin = plan_.pos_begin[n];
+      dcfg.r_end = plan_.pos_begin[n + 1];
     }
     Result<std::unique_ptr<dist::ShardScheduler>> engine =
         dist::ShardScheduler::Create(cfg_, dcfg);
@@ -150,22 +146,10 @@ Status ClusterScheduler::Build() {
     nodes_.push_back(std::move(node));
   }
 
-  // The cluster window grid: dist's formulas with every GPU in the
-  // cluster as one shard, so a given (nodes * gpus) budget sees the
-  // same global stride whether it is packed into one machine or eight.
-  const uint64_t total_shards =
-      static_cast<uint64_t>(ccfg_.num_nodes) *
-      static_cast<uint64_t>(ccfg_.gpus_per_node);
-  const uint64_t sample = nodes_[0]->engine->s().sample_size();
-  w_full_ = std::min(cfg_.inlj.window_tuples,
-                     bits::CeilDiv(cfg_.s_tuples, total_shards));
-  w_dev_ = std::min(w_full_, sample);
-  w_dev_ = std::max<uint64_t>(1, std::min(w_dev_, sample / total_shards));
-  window_scale_ =
-      static_cast<double>(w_full_) / static_cast<double>(w_dev_);
-  stride_ = total_shards * w_dev_;
-  n_sim_ = bits::CeilDiv(sample, stride_);
-  n_full_ = bits::CeilDiv(cfg_.s_tuples, total_shards * w_full_);
+  grid_ = dist::PlanWindowGrid(cfg_.inlj.window_tuples,
+                               nodes_[0]->engine->s(),
+                               static_cast<uint64_t>(ccfg_.num_nodes) *
+                                   static_cast<uint64_t>(ccfg_.gpus_per_node));
 
   if (ccfg_.failover.enabled()) {
     int adds = 0;
@@ -190,14 +174,13 @@ Status ClusterScheduler::ResetForRun() {
   // configured membership so repeated runs replay the same schedule.
   if (num_nodes() > ccfg_.num_nodes) {
     nodes_.resize(static_cast<size_t>(ccfg_.num_nodes));
-    Result<ClusterTopology> topo = ClusterTopology::Create(
-        ccfg_.network, ccfg_.num_nodes, ccfg_.node_topology,
-        ccfg_.gpus_per_node);
+    Result<dist::Topology> topo =
+        dist::Topology::Create(ccfg_.network, ccfg_.num_nodes);
     if (!topo.ok()) return topo.status();
     topo_ = *std::move(topo);
   }
+  dead_.assign(nodes_.size(), 0);
   for (auto& node : nodes_) {
-    node->alive = true;
     node->drained = false;
     node->failover_record = -1;
     node->out = NodeStats{};
@@ -208,7 +191,7 @@ Status ClusterScheduler::ResetForRun() {
       if (!st.ok()) return st;
     }
   }
-  charge_of_cell_ = plan_.base.owner_of_cell;
+  charge_of_cell_ = plan_.owner_of_cell;
   cell_migrated_.assign(plan_.cells(), 0);
   membership_next_ = 0;
   clock_ = 0;
@@ -242,7 +225,7 @@ uint64_t ClusterScheduler::sample_size() const {
 
 int ClusterScheduler::IngressNode() const {
   for (const auto& node : nodes_) {
-    if (node->alive && !node->drained) return node->id;
+    if (alive(node->id) && !node->drained) return node->id;
   }
   return -1;
 }
@@ -250,7 +233,7 @@ int ClusterScheduler::IngressNode() const {
 std::vector<int> ClusterScheduler::ChargeTargets() const {
   std::vector<int> targets;
   for (const auto& node : nodes_) {
-    if (node->alive && !node->drained) targets.push_back(node->id);
+    if (alive(node->id) && !node->drained) targets.push_back(node->id);
   }
   return targets;
 }
@@ -259,10 +242,10 @@ double ClusterScheduler::NetCharge(int from, int to, uint64_t bytes,
                                    int active,
                                    std::vector<uint64_t>* ledger) {
   if (from == to || bytes == 0) return 0;
-  double seconds = topo_.NodeSeconds(from, to, bytes);
-  for (int l : topo_.NodePathLinks(from, to)) {
+  double seconds = topo_.PeerSeconds(from, to, bytes);
+  for (int l : topo_.PeerLinks(from, to)) {
     (*ledger)[static_cast<size_t>(l)] += bytes;
-    const int sharers = topo_.Sharers(l, active);
+    const int sharers = topo_.HostSharers(l, active);
     if (sharers > 1) {
       seconds += (sharers - 1) * (static_cast<double>(bytes) /
                                   topo_.links()[static_cast<size_t>(l)]
@@ -361,17 +344,17 @@ Status ClusterScheduler::ApplyMembership(double now) {
          ccfg_.membership[membership_next_].at_seconds <= now) {
     const MembershipEvent& ev = ccfg_.membership[membership_next_++];
     if (ev.kind == MembershipEvent::Kind::kAddNode) {
-      Result<int> id = topo_.AddNode();
-      if (!id.ok()) return id.status();
+      const int id = topo_.AddEndpoint();
       window_link_bytes_.resize(topo_.links().size(), 0);
       event_link_bytes_.resize(topo_.links().size(), 0);
       auto node = std::make_unique<Node>();
-      node->id = *id;
+      node->id = id;
       node->origin = false;
-      node->out.node = *id;
+      node->out.node = id;
       node->out.origin = false;
       nodes_.push_back(std::move(node));
-      Status st = RebalanceOnto(*id);
+      dead_.push_back(0);
+      Status st = RebalanceOnto(id);
       if (!st.ok()) return st;
     } else {
       if (ev.node >= num_nodes()) {
@@ -379,7 +362,7 @@ Status ClusterScheduler::ApplyMembership(double now) {
             "membership drains unknown node " + std::to_string(ev.node));
       }
       Node& node = *nodes_[static_cast<size_t>(ev.node)];
-      if (!node.alive || node.drained) {
+      if (!alive(ev.node) || node.drained) {
         return Status::InvalidArgument(
             "membership drains node " + std::to_string(ev.node) +
             " which is already out of service");
@@ -395,37 +378,34 @@ Status ClusterScheduler::ApplyMembership(double now) {
 
 Result<double> ClusterScheduler::CheckNodeHealth(double now) {
   if (fault_timeline_ == nullptr) return 0.0;
+  // The shared scan marks every node dying in this gap before any cells
+  // move, so simultaneous deaths never deal cells to each other.
+  const std::vector<dist::Detection> dying = dist::DetectDeaths(
+      *fault_timeline_, ccfg_.failover.heartbeat_timeout, now, &dead_);
+  const workload::ProbeRelation& s = nodes_[0]->engine->s();
+  const workload::Key* keys = s.keys.data().data();
   double stall = 0;
-  for (auto& node : nodes_) {
-    if (!node->alive) continue;
-    std::optional<sim::DeviceFaultTimeline::Episode> ep =
-        fault_timeline_->TerminalAt(node->id, now);
-    if (!ep.has_value()) continue;
-    node->alive = false;
-    const double detected_at =
-        ep->begin + ccfg_.failover.heartbeat_timeout;
-    const double wait = std::max(0.0, detected_at - now);
+  for (const dist::Detection& death : dying) {
+    const double wait = std::max(0.0, death.detected_at - now);
     stall = std::max(stall, wait);
     robustness_.detection_seconds += wait;
 
     obs::FailoverRecord record;
-    record.dead_shard = node->id;
-    record.fault_class = sim::DeviceFaultClassName(ep->cls);
-    record.detected_at_seconds = detected_at;
+    record.dead_shard = death.unit;
+    record.fault_class = sim::DeviceFaultClassName(death.episode.cls);
+    record.detected_at_seconds = death.detected_at;
     // Probe rows whose key range just moved: scan the sample once (the
     // same quantity dist accumulates per routed window).
-    const workload::ProbeRelation& s = nodes_[0]->engine->s();
-    const workload::Key* keys = s.keys.data().data();
     for (uint64_t i = 0; i < s.sample_size(); ++i) {
-      if (charge_of_cell_[plan_.CellOf(keys[i])] == node->id) {
+      if (charge_of_cell_[plan_.CellOf(keys[i])] == death.unit) {
         ++record.reassigned_tuples;
       }
     }
-    node->failover_record =
+    nodes_[static_cast<size_t>(death.unit)]->failover_record =
         static_cast<int>(robustness_.failovers.size());
     robustness_.failovers.push_back(std::move(record));
 
-    Status st = ReassignCells(node->id, /*migrate=*/false);
+    Status st = ReassignCells(death.unit, /*migrate=*/false);
     if (!st.ok()) return st;
   }
   return stall;
@@ -511,7 +491,7 @@ Result<double> ClusterScheduler::ExecuteGroups(
     charge.out.matches += res->matches;
     charge.out.busy_seconds += t;
     charge.out.steal_events += res->steal_events;
-    if (g.fetch && !origin.alive && origin.failover_record >= 0) {
+    if (g.fetch && !alive(g.origin) && origin.failover_record >= 0) {
       robustness_.failovers[static_cast<size_t>(origin.failover_record)]
           .reexec_chunks += 1;
     }
@@ -522,7 +502,7 @@ Result<double> ClusterScheduler::ExecuteGroups(
     }
     if (collect != nullptr) {
       const uint64_t off =
-          restricted ? plan_.node_r_begin(g.origin) : 0;
+          restricted ? plan_.pos_begin[g.origin] : 0;
       for (const core::JoinMatch& m : tmp) {
         collect->push_back({m.probe_row, m.position + off});
       }
@@ -543,28 +523,6 @@ Result<double> ClusterScheduler::ExecuteGroups(
   double wall = 0;
   for (double t : time) wall = std::max(wall, t);
   return wall;
-}
-
-double ClusterScheduler::MergeSecondsNet(
-    const std::vector<uint64_t>& result_bytes, int ingress) {
-  // Every node streams its result run to the ingress: a shared switch
-  // serializes the streams, dedicated uplinks overlap (dist's
-  // MergeSeconds, one tier up).
-  double sum = 0;
-  double mx = 0;
-  bool shared = false;
-  for (size_t n = 0; n < result_bytes.size(); ++n) {
-    if (result_bytes[n] == 0 || static_cast<int>(n) == ingress) continue;
-    const double t = NetCharge(static_cast<int>(n), ingress,
-                               result_bytes[n], /*active=*/1,
-                               &event_link_bytes_);
-    sum += t;
-    mx = std::max(mx, t);
-    for (int l : topo_.NodePathLinks(static_cast<int>(n), ingress)) {
-      if (topo_.links()[static_cast<size_t>(l)].shared) shared = true;
-    }
-  }
-  return shared ? sum : mx;
 }
 
 Result<ClusterRunResult> ClusterScheduler::RunJoin(
@@ -611,8 +569,8 @@ Result<ClusterRunResult> ClusterScheduler::RunJoin(
 
   double makespan = 0;
   std::vector<uint64_t> rows;
-  rows.reserve(stride_);
-  for (uint64_t w = 0; w < n_sim_; ++w) {
+  rows.reserve(grid_.stride);
+  for (uint64_t w = 0; w < grid_.n_sim; ++w) {
     Status ms = ApplyMembership(clock_);
     if (!ms.ok()) return ms;
     Result<double> stall = CheckNodeHealth(clock_);
@@ -620,8 +578,8 @@ Result<ClusterRunResult> ClusterScheduler::RunJoin(
     makespan += *stall;
     clock_ += *stall;
 
-    const uint64_t begin = w * stride_;
-    const uint64_t count = std::min(stride_, sample - begin);
+    const uint64_t begin = w * grid_.stride;
+    const uint64_t count = std::min(grid_.stride, sample - begin);
     rows.clear();
     for (uint64_t i = 0; i < count; ++i) rows.push_back(begin + i);
     std::vector<Group> groups = GroupRows(rows.data(), count);
@@ -649,15 +607,20 @@ Result<ClusterRunResult> ClusterScheduler::RunJoin(
         ScaleStat(node->out.matches, scale) * kResultBytesPerMatch;
   }
   const int ingress = IngressNode();
+  // Every node streams its result run to the ingress (dist's merge
+  // rule, one tier up).
   out.merge_seconds =
-      ingress >= 0 ? MergeSecondsNet(result_bytes, ingress) : 0;
+      ingress >= 0
+          ? topo_.GatherSeconds(result_bytes, ingress, &event_link_bytes_)
+          : 0;
 
-  const double window_factor = static_cast<double>(n_full_) /
-                               static_cast<double>(n_sim_);
-  const double extrap = window_scale_ * window_factor;
+  const double window_factor = static_cast<double>(grid_.n_full) /
+                               static_cast<double>(grid_.n_sim);
+  const double extrap = grid_.window_scale * window_factor;
 
   out.run.label =
-      "cluster_inlj_" + std::string(NetworkKindName(ccfg_.network)) + "_x" +
+      "cluster_inlj_" + std::string(dist::TopologyKindName(ccfg_.network)) +
+      "_x" +
       std::to_string(ccfg_.num_nodes) + "n" +
       std::to_string(ccfg_.gpus_per_node) + "g";
   out.run.probe_tuples = s.full_size;
@@ -677,7 +640,7 @@ Result<ClusterRunResult> ClusterScheduler::RunJoin(
 
   for (auto& node : nodes_) {
     NodeStats ns = node->out;
-    ns.alive = node->alive;
+    ns.alive = alive(node->id);
     ns.drained = node->drained;
     ns.shards = node->drained ? 0 : ccfg_.gpus_per_node;
     ns.steal_events = node->out.steal_events;

@@ -6,11 +6,10 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster_topology.h"
-#include "cluster/node_planner.h"
 #include "core/experiment.h"
 #include "core/match.h"
 #include "dist/shard_scheduler.h"
+#include "dist/topology.h"
 #include "mem/address_space.h"
 #include "obs/robustness.h"
 #include "serve/server.h"
@@ -20,6 +19,10 @@
 #include "workload/key_column.h"
 
 namespace gpujoin::cluster {
+
+// The network tier is a dist::Topology of kind kInfiniBand or kEthernet
+// whose endpoints are the nodes.
+using NetworkKind = dist::TopologyKind;
 
 // Node-level failure detection and key-range rerouting: the cluster
 // analogue of dist::FailoverPolicy, with the fault timeline keyed by
@@ -67,6 +70,7 @@ struct ClusterConfig {
   // start. In [1, 64]; nodes added by membership events on top.
   int num_nodes = 1;
   int gpus_per_node = 1;
+  // kInfiniBand or kEthernet.
   NetworkKind network = NetworkKind::kInfiniBand;
   dist::TopologyKind node_topology = dist::TopologyKind::kNvLink2;
   // Intra-node work stealing (dist's policy, applied inside each node).
@@ -176,15 +180,19 @@ class ClusterScheduler final : public serve::WindowBackend {
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   int gpus_per_node() const { return ccfg_.gpus_per_node; }
-  const ClusterTopology& topology() const { return topo_; }
-  const NodePlan& plan() const { return plan_; }
+  // The network tier (endpoints are nodes; the in-node GPU fabrics live
+  // in the node engines).
+  const dist::Topology& topology() const { return topo_; }
+  // The top level of the two-level radix plan: dist's ShardPlanner with
+  // nodes as the shards (each node engine then re-plans its own slice
+  // across its GPUs). Cells are the granularity of elastic membership.
+  const dist::ShardPlan& plan() const { return plan_; }
   const obs::RobustnessStats& robustness() const { return robustness_; }
 
  private:
   struct Node {
     int id = 0;
     bool origin = true;
-    bool alive = true;
     bool drained = false;
     // Origin nodes only; joiners are charge targets whose work runs on
     // the origin structures (see the class comment).
@@ -206,7 +214,7 @@ class ClusterScheduler final : public serve::WindowBackend {
   };
 
   ClusterScheduler(const core::ExperimentConfig& cfg,
-                   const ClusterConfig& ccfg, ClusterTopology topo)
+                   const ClusterConfig& ccfg, dist::Topology topo)
       : cfg_(cfg), ccfg_(ccfg), topo_(std::move(topo)) {}
 
   Status Build();
@@ -216,11 +224,14 @@ class ClusterScheduler final : public serve::WindowBackend {
   Status ResetForRun();
   Status EnsureServing();
 
+  bool alive(int node) const {
+    return dead_[static_cast<size_t>(node)] == 0;
+  }
   // First alive, un-drained node in id order (the probe stream's entry
   // point); -1 when none remains.
   int IngressNode() const;
   int origin_of_cell(uint64_t cell) const {
-    return plan_.base.owner_of_cell[cell];
+    return plan_.owner_of_cell[cell];
   }
 
   // Groups rows[0..count) by (origin, charge, fetch), in that order.
@@ -262,16 +273,17 @@ class ClusterScheduler final : public serve::WindowBackend {
   double NetCharge(int from, int to, uint64_t bytes, int active,
                    std::vector<uint64_t>* ledger);
 
-  double MergeSecondsNet(const std::vector<uint64_t>& result_bytes,
-                         int ingress);
-
   core::ExperimentConfig cfg_;
   ClusterConfig ccfg_;
-  ClusterTopology topo_;
-  NodePlan plan_;
+  dist::Topology topo_;
+  dist::ShardPlan plan_;
 
   // With one origin node, no membership events and no node faults the
-  // cluster is exactly its single engine (bit-identity guarantee).
+  // cluster is exactly its single engine (bit-identity guarantee). The
+  // general path cannot stand in for it: with one node it charges no
+  // result merge at all (the network merge skips the ingress node, and
+  // no tier charges dist's in-node GPU -> GPU merge), so delegating is
+  // what keeps 1-node runs equal to dist (docs/CLUSTER.md).
   bool delegate_ = false;
 
   // Cluster-side copy of R for node planning and migration accounting
@@ -279,16 +291,14 @@ class ClusterScheduler final : public serve::WindowBackend {
   std::unique_ptr<mem::AddressSpace> space_;
   std::unique_ptr<workload::KeyColumn> r_;
 
-  // The cluster window grid, dist's formulas with
-  // total GPUs = origin nodes * gpus_per_node as the shard count.
-  uint64_t w_full_ = 0;
-  uint64_t w_dev_ = 0;
-  uint64_t stride_ = 0;
-  uint64_t n_sim_ = 0;
-  uint64_t n_full_ = 0;
-  double window_scale_ = 1;
+  // The cluster window grid: dist's, with every GPU in the cluster
+  // (origin nodes * gpus_per_node) as one device, so a given GPU budget
+  // sees the same global stride whether it is packed into one machine
+  // or eight.
+  dist::WindowGrid grid_;
 
   std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<char> dead_;  // per node: declared dead by a heartbeat scan
 
   // Elastic charge state: cell -> charged node, and whether the cell's
   // R slice now lives with its charge (migrated) or still at its

@@ -30,20 +30,30 @@ struct ShardPlan {
   // Per shard, the first owned position in R; pos_begin[num_shards] ==
   // r.size(). Positions are what the shards' key-column slices use.
   std::vector<uint64_t> pos_begin;
+  // Per cell, the first R position; cell_pos[cells()] == r.size(). Cells
+  // are the granularity a cluster rebalance moves R slices at (the
+  // cluster applies this planner one level up, with nodes as shards).
+  std::vector<uint64_t> cell_pos;
 
-  // Owning shard of a probe key (monotone in the key).
-  int OwnerOf(workload::Key key) const {
-    uint64_t cell =
+  uint64_t cells() const { return uint64_t{1} << cell_bits; }
+
+  // Cell of a probe key (monotone in the key, clamped to the domain).
+  uint64_t CellOf(workload::Key key) const {
+    const uint64_t cell =
         static_cast<uint64_t>(key - min_key) >> static_cast<uint64_t>(shift);
-    const uint64_t cells = uint64_t{1} << cell_bits;
-    if (cell >= cells) cell = cells - 1;
-    // cells_begin is sorted; shards are few, so a linear scan is fine
-    // for planning, but routing is hot — use the precomputed map.
-    return owner_of_cell[cell];
+    return cell >= cells() ? cells() - 1 : cell;
   }
+
+  // Owning shard of a probe key (monotone in the key). cells_begin is
+  // sorted; shards are few, so a linear scan is fine for planning, but
+  // routing is hot — use the precomputed map.
+  int OwnerOf(workload::Key key) const { return owner_of_cell[CellOf(key)]; }
 
   uint64_t shard_r_tuples(int shard) const {
     return pos_begin[shard + 1] - pos_begin[shard];
+  }
+  uint64_t cell_r_tuples(uint64_t cell) const {
+    return cell_pos[cell + 1] - cell_pos[cell];
   }
 
   // cell -> shard, materialized at plan time (2^cell_bits entries).

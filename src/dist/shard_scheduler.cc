@@ -29,6 +29,62 @@ constexpr uint64_t kStealBytesPerTuple =
 
 }  // namespace
 
+Status ValidateHeartbeat(double heartbeat_timeout, double recovery_penalty) {
+  if (!(heartbeat_timeout >= 0) || !std::isfinite(heartbeat_timeout)) {
+    return Status::InvalidArgument(
+        "failover.heartbeat_timeout must be finite and >= 0");
+  }
+  if (!(recovery_penalty >= 1) || !std::isfinite(recovery_penalty)) {
+    return Status::InvalidArgument(
+        "failover.recovery_penalty must be finite and >= 1");
+  }
+  return Status::Ok();
+}
+
+std::vector<Detection> DetectDeaths(const sim::DeviceFaultTimeline& timeline,
+                                    double heartbeat_timeout, double now,
+                                    std::vector<char>* dead,
+                                    const std::vector<double>* busy) {
+  std::vector<Detection> dying;
+  for (size_t u = 0; u < dead->size(); ++u) {
+    if ((*dead)[u] != 0) continue;
+    const int unit = static_cast<int>(u);
+    std::optional<sim::DeviceFaultTimeline::Episode> ep;
+    if (busy == nullptr) {
+      ep = timeline.TerminalAt(unit, now);
+    } else if ((*busy)[u] > 0) {
+      ep = timeline.TerminalIn(unit, now, now + (*busy)[u]);
+    }
+    if (!ep.has_value()) continue;
+    (*dead)[u] = 1;
+    dying.push_back({unit, *ep, ep->begin + heartbeat_timeout});
+  }
+  return dying;
+}
+
+WindowGrid PlanWindowGrid(uint64_t window_tuples,
+                          const workload::ProbeRelation& s,
+                          uint64_t devices) {
+  const uint64_t sample = s.sample_size();
+  WindowGrid g;
+  g.w_full = std::min(window_tuples, bits::CeilDiv(s.full_size, devices));
+  g.w_dev = std::min(g.w_full, sample);
+  if (s.scheme == workload::SampleScheme::kRangeRestricted) {
+    g.w_dev = std::clamp<uint64_t>(
+        static_cast<uint64_t>(
+            std::llround(static_cast<double>(g.w_full) / s.scale())),
+        32, sample);
+  }
+  // A simulated global window must fit in the sample; shrink the device
+  // window so all devices' shares stay full-density.
+  g.w_dev = std::max<uint64_t>(1, std::min(g.w_dev, sample / devices));
+  g.window_scale = static_cast<double>(g.w_full) / static_cast<double>(g.w_dev);
+  g.stride = devices * g.w_dev;
+  g.n_sim = bits::CeilDiv(sample, g.stride);
+  g.n_full = bits::CeilDiv(s.full_size, devices * g.w_full);
+  return g;
+}
+
 Result<std::unique_ptr<ShardScheduler>> ShardScheduler::Create(
     const core::ExperimentConfig& cfg, const ShardConfig& dcfg) {
   if (cfg.inlj.mode != core::InljConfig::PartitionMode::kWindowed) {
@@ -41,18 +97,15 @@ Result<std::unique_ptr<ShardScheduler>> ShardScheduler::Create(
         "the sharded engine supports planner = static | adaptive; use "
         "the single-device plan::PlannedBackend for oracle runs");
   }
+  if (IsNetworkTier(dcfg.topology)) {
+    return Status::InvalidArgument(
+        "topology must be a GPU fabric (nvlink2 | pcie4 | nvswitch)");
+  }
   Status fst = dcfg.failover.device_faults.Validate(dcfg.num_shards);
   if (!fst.ok()) return fst;
-  if (!(dcfg.failover.heartbeat_timeout >= 0) ||
-      !std::isfinite(dcfg.failover.heartbeat_timeout)) {
-    return Status::InvalidArgument(
-        "failover.heartbeat_timeout must be finite and >= 0");
-  }
-  if (!(dcfg.failover.recovery_penalty >= 1) ||
-      !std::isfinite(dcfg.failover.recovery_penalty)) {
-    return Status::InvalidArgument(
-        "failover.recovery_penalty must be finite and >= 1");
-  }
+  fst = ValidateHeartbeat(dcfg.failover.heartbeat_timeout,
+                          dcfg.failover.recovery_penalty);
+  if (!fst.ok()) return fst;
   if (dcfg.failover.enabled() && dcfg.failover.reexec_chunk_budget == 0) {
     return Status::InvalidArgument(
         "failover.reexec_chunk_budget must be >= 1 when device faults "
@@ -123,33 +176,8 @@ Status ShardScheduler::Build() {
   if (!plan.ok()) return plan.status();
   plan_ = *std::move(plan);
 
-  // The window grid. Per device the formulas are the batch pipeline's
-  // (core/inlj.cc) — every device has a window capacity of w_full_
-  // tuples, sized down for multiple shards only so the aggregate
-  // full-scale window never exceeds |S| (the single-device pipeline
-  // clamps the same way). One global window is num_shards devices
-  // filling their windows at once; with one shard everything below
-  // reduces to the batch grid exactly.
-  const uint64_t shards = dcfg_.num_shards;
-  const double scale = s_.scale();
-  const uint64_t sample = s_.sample_size();
-  w_full_ = std::min(cfg_.inlj.window_tuples,
-                     bits::CeilDiv(cfg_.s_tuples, shards));
-  w_dev_ = std::min(w_full_, sample);
-  if (s_.scheme == workload::SampleScheme::kRangeRestricted) {
-    w_dev_ = std::clamp<uint64_t>(
-        static_cast<uint64_t>(
-            std::llround(static_cast<double>(w_full_) / scale)),
-        32, sample);
-  }
-  // A simulated global window must fit in the sample; shrink the device
-  // window so all shards' shares stay full-density.
-  w_dev_ = std::max<uint64_t>(1, std::min(w_dev_, sample / shards));
-  window_scale_ =
-      static_cast<double>(w_full_) / static_cast<double>(w_dev_);
-  stride_ = shards * w_dev_;
-  n_sim_ = bits::CeilDiv(sample, stride_);
-  n_full_ = bits::CeilDiv(cfg_.s_tuples, shards * w_full_);
+  grid_ = PlanWindowGrid(cfg_.inlj.window_tuples, s_,
+                         static_cast<uint64_t>(dcfg_.num_shards));
 
   for (int i = 0; i < dcfg_.num_shards; ++i) {
     auto shard = std::make_unique<Shard>(options);
@@ -178,14 +206,7 @@ Status ShardScheduler::Build() {
     shards_.push_back(std::move(shard));
   }
 
-  if (dcfg_.planner.mode == plan::PlannerMode::kAdaptive) {
-    planner_ = std::make_unique<plan::Planner>(dcfg_.planner);
-    for (int i = 0; i < dcfg_.num_shards; ++i) {
-      extractors_.emplace_back(
-          plan_.shard_r_tuples(i) * 8, cfg_.platform.gpu.tlb_coverage,
-          dcfg_.planner.seed + static_cast<uint64_t>(i) * 0x9e3779b9ULL);
-    }
-  }
+  ResetPlanner();
 
   if (dcfg_.failover.enabled()) {
     fault_timeline_ = std::make_unique<sim::DeviceFaultTimeline>(
@@ -195,6 +216,7 @@ Status ShardScheduler::Build() {
     failover_record_.assign(dcfg_.num_shards, -1);
   }
 
+  link_bytes_.assign(topo_.links().size(), 0);
   const int threads =
       dcfg_.threads > 0
           ? dcfg_.threads
@@ -231,6 +253,7 @@ Status ShardScheduler::ResetShardsForRun() {
     fresh.r_tuples = shard->out.r_tuples;
     shard->out = fresh;
   }
+  link_bytes_.assign(topo_.links().size(), 0);
   if (fault_timeline_ != nullptr) {
     // Repeated runs replay the same fault schedule from t = 0.
     clock_ = 0;
@@ -240,18 +263,21 @@ Status ShardScheduler::ResetShardsForRun() {
     reexec_chunks_ = 0;
     robustness_ = obs::RobustnessStats{};
   }
-  if (planner_ != nullptr) {
-    // Repeated RunJoin calls must route identically: the planner and the
-    // extractors restart from their seeds.
-    planner_ = std::make_unique<plan::Planner>(dcfg_.planner);
-    extractors_.clear();
-    for (int i = 0; i < dcfg_.num_shards; ++i) {
-      extractors_.emplace_back(
-          plan_.shard_r_tuples(i) * 8, cfg_.platform.gpu.tlb_coverage,
-          dcfg_.planner.seed + static_cast<uint64_t>(i) * 0x9e3779b9ULL);
-    }
-  }
+  ResetPlanner();
   return Status::Ok();
+}
+
+void ShardScheduler::ResetPlanner() {
+  if (dcfg_.planner.mode != plan::PlannerMode::kAdaptive) return;
+  // Repeated RunJoin calls must route identically: the planner and the
+  // extractors restart from their seeds.
+  planner_ = std::make_unique<plan::Planner>(dcfg_.planner);
+  extractors_.clear();
+  for (int i = 0; i < dcfg_.num_shards; ++i) {
+    extractors_.emplace_back(
+        plan_.shard_r_tuples(i) * 8, cfg_.platform.gpu.tlb_coverage,
+        dcfg_.planner.seed + static_cast<uint64_t>(i) * 0x9e3779b9ULL);
+  }
 }
 
 void ShardScheduler::EnableObservability() {
@@ -264,39 +290,101 @@ void ShardScheduler::EnableObservability() {
   }
 }
 
-std::vector<ShardScheduler::SliceRef> ShardScheduler::RouteSlice(
-    uint64_t begin, uint64_t count, bool serving) {
+Result<ShardScheduler::StepResult> ShardScheduler::Step(
+    const uint64_t* rows, uint64_t begin, uint64_t count, Placement placement,
+    uint64_t ordinal, std::vector<core::JoinMatch>* collect) {
+  if (shards_[0]->joiner == nullptr) {
+    Status st = CreateJoiners();
+    if (!st.ok()) return st;
+  }
+  StepResult out;
+  if (fault_timeline_ != nullptr) {
+    // Window-boundary health check: shards whose terminal fault began
+    // before this window are declared dead now and their key ranges
+    // fail over before any chunk is planned.
+    Result<double> stall = CheckHealth(clock_);
+    if (!stall.ok()) return stall.status();
+    out.stall = *stall;
+    clock_ += out.stall;
+  }
+
+  const int n = num_shards();
+  std::vector<SliceRef> slices =
+      Route(rows, begin, count, placement, collect != nullptr);
+  std::vector<std::vector<Chunk>> chunks =
+      PlanChunks(slices, &out.steal_events);
+  RoutePlans(&chunks);
+
+  std::vector<std::vector<core::JoinMatch>> window_collect;
+  if (collect != nullptr) window_collect.resize(n);
+  out.matches.assign(n, 0);
+  Result<double> wall =
+      ExecuteWindow(chunks, ordinal,
+                    collect != nullptr ? &window_collect : nullptr,
+                    &out.matches);
+  if (!wall.ok()) return wall.status();
+  out.wall = *wall;
+  clock_ += out.wall;
+
+  if (collect != nullptr) {
+    // Deterministic cross-shard merge: shard order within the window,
+    // generation order within a shard. Local rows/positions map back
+    // through the shard's routing table and R offset.
+    for (int i = 0; i < n; ++i) {
+      const Shard& shard = *shards_[i];
+      for (const core::JoinMatch& m : window_collect[i]) {
+        collect->push_back(
+            {shard.row_map[m.probe_row], plan_.pos_begin[i] + m.position});
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<ShardScheduler::SliceRef> ShardScheduler::Route(
+    const uint64_t* rows, uint64_t begin, uint64_t count, Placement placement,
+    bool map_rows) {
   const int n = num_shards();
   const workload::Key* keys = s_.keys.data().data();
+  const auto row_at = [rows, begin](uint64_t i) {
+    return rows != nullptr ? rows[i] : begin + i;
+  };
 
   std::vector<uint64_t> cnt(n, 0);
   if (n == 1) {
     cnt[0] = count;
   } else {
-    for (uint64_t i = begin; i < begin + count; ++i) {
-      ++cnt[plan_.OwnerOf(keys[i])];
+    for (uint64_t i = 0; i < count; ++i) {
+      ++cnt[plan_.OwnerOf(keys[row_at(i)])];
     }
   }
 
   std::vector<SliceRef> slices(n);
   for (int i = 0; i < n; ++i) {
     Shard& shard = *shards_[i];
-    // The serving path reuses the buffers forever: wrap to the front
-    // when the tail can't hold this slice (RunWindow needs a contiguous
-    // range; a slice never exceeds the capacity).
-    if (serving && shard.cursor + cnt[i] > shard.s.sample_size()) {
+    // A cluster batch overwrites the last window's keys. The serving
+    // path reuses the buffers forever: wrap to the front when the tail
+    // can't hold this slice (RunWindow needs a contiguous range; a slice
+    // never exceeds the capacity, the whole sample).
+    if (placement == Placement::kFront ||
+        (placement == Placement::kCyclic &&
+         shard.cursor + cnt[i] > shard.s.sample_size())) {
       shard.cursor = 0;
     }
     slices[i] = {shard.cursor, cnt[i]};
+    if (map_rows && shard.row_map.size() < shard.cursor + cnt[i]) {
+      shard.row_map.resize(shard.cursor + cnt[i]);
+    }
   }
 
   std::vector<uint64_t> write_at(n);
   for (int i = 0; i < n; ++i) write_at[i] = slices[i].start;
-  for (uint64_t i = begin; i < begin + count; ++i) {
-    const int owner = n == 1 ? 0 : plan_.OwnerOf(keys[i]);
+  for (uint64_t i = 0; i < count; ++i) {
+    const uint64_t row = row_at(i);
+    const int owner = n == 1 ? 0 : plan_.OwnerOf(keys[row]);
     Shard& shard = *shards_[owner];
-    shard.s.keys[write_at[owner]++] = keys[i];
-    if (!serving) shard.row_map.push_back(i);
+    if (map_rows) shard.row_map[write_at[owner]] = row;
+    shard.s.keys[write_at[owner]++] = keys[row];
   }
   for (int i = 0; i < n; ++i) {
     shards_[i]->cursor = slices[i].start + cnt[i];
@@ -334,7 +422,7 @@ std::vector<std::vector<ShardScheduler::Chunk>> ShardScheduler::PlanChunks(
       load[i] = static_cast<double>(remaining[i]) * rate[i];
     }
     uint64_t bucket = dcfg_.steal.bucket_tuples;
-    if (bucket == 0) bucket = std::max<uint64_t>(256, w_dev_ / 2);
+    if (bucket == 0) bucket = std::max<uint64_t>(256, grid_.w_dev / 2);
     // Greedy rebalance, bounded: peel buckets off the most loaded
     // shard's tail onto the least loaded one while it shortens the
     // window's critical path.
@@ -381,10 +469,10 @@ std::vector<std::vector<ShardScheduler::Chunk>> ShardScheduler::PlanChunks(
   // launch and sync — the cost that makes routed-count skew hurt).
   std::vector<std::vector<Chunk>> chunks(n);
   auto emit = [this, &chunks](const Chunk& c) {
-    for (uint64_t off = 0; off < c.count; off += w_dev_) {
+    for (uint64_t off = 0; off < c.count; off += grid_.w_dev) {
       Chunk piece = c;
       piece.start = c.start + off;
-      piece.count = std::min(w_dev_, c.count - off);
+      piece.count = std::min(grid_.w_dev, c.count - off);
       chunks[c.owner].push_back(piece);
     }
   };
@@ -394,10 +482,8 @@ std::vector<std::vector<ShardScheduler::Chunk>> ShardScheduler::PlanChunks(
       // execute against its (host-resident) partition but are charged to
       // the failover target at the recovery penalty.
       if (slices[i].count > 0) {
-        Chunk c{i, failover_target_[static_cast<size_t>(i)],
-                slices[i].start, slices[i].count};
-        c.failover = true;
-        emit(c);
+        emit({i, failover_target_[static_cast<size_t>(i)], slices[i].start,
+              slices[i].count, /*failover=*/true});
       }
       continue;
     }
@@ -491,9 +577,7 @@ Result<core::WindowRun> ShardScheduler::RunChunkOnShard(
 
 Result<double> ShardScheduler::ExecuteWindow(
     const std::vector<std::vector<Chunk>>& chunks, uint64_t ordinal,
-    util::ThreadPool* pool,
     std::vector<std::vector<core::JoinMatch>>* collect_shards,
-    std::vector<uint64_t>* host_bytes_by_link,
     std::vector<uint64_t>* window_matches) {
   const int n = num_shards();
   std::vector<std::vector<ChunkResult>> results(n);
@@ -504,8 +588,8 @@ Result<double> ShardScheduler::ExecuteWindow(
   // and results do not depend on the thread count.
   for (int i = 0; i < n; ++i) {
     if (chunks[i].empty()) continue;
-    pool->Submit([this, i, ordinal, &chunks, &results, &statuses,
-                  collect_shards] {
+    pool_->Submit([this, i, ordinal, &chunks, &results, &statuses,
+                   collect_shards] {
       Shard& shard = *shards_[i];
       for (const Chunk& chunk : chunks[i]) {
         Result<core::WindowRun> run = RunChunkOnShard(
@@ -526,7 +610,7 @@ Result<double> ShardScheduler::ExecuteWindow(
       }
     });
   }
-  Status pool_status = pool->Wait();
+  Status pool_status = pool_->Wait();
   if (!pool_status.ok()) return pool_status;
   for (const Status& st : statuses) {
     if (!st.ok()) return st;
@@ -554,7 +638,7 @@ Result<double> ShardScheduler::ExecuteWindow(
       shard.join_sum += cr.join.counters;
       shard.stats += cr.stats;
       shard.out.matches += cr.matches;
-      if (window_matches != nullptr) (*window_matches)[v] += cr.matches;
+      (*window_matches)[v] += cr.matches;
       if (cr.chunk.thief == v) {
         own_seconds[v] += cr.seconds;
         own_tuples[v] += cr.chunk.count;
@@ -567,7 +651,7 @@ Result<double> ShardScheduler::ExecuteWindow(
         charged_seconds[thief] +=
             cr.seconds * penalty + topo_.PeerSeconds(v, thief, bytes);
         for (int link : topo_.PeerLinks(v, thief)) {
-          (*host_bytes_by_link)[link] += bytes;
+          link_bytes_[link] += bytes;
         }
         if (cr.chunk.failover) {
           const int rec = failover_record_[static_cast<size_t>(v)];
@@ -613,8 +697,7 @@ Result<double> ShardScheduler::ExecuteWindow(
       }
       ++shards_[i]->out.windows;
     }
-    (*host_bytes_by_link)[topo_.host_link(i)] +=
-        HostBytes(window_counters[i]);
+    link_bytes_[topo_.host_link(i)] += HostBytes(window_counters[i]);
     shards_[i]->out.busy_seconds += times[i];
     wall = std::max(wall, times[i]);
 
@@ -638,10 +721,8 @@ int ShardScheduler::NextAlive(int shard) const {
   return -1;
 }
 
-Status ShardScheduler::DeclareDead(
-    int shard, const sim::DeviceFaultTimeline::Episode& ep,
-    double detected_at) {
-  dead_[static_cast<size_t>(shard)] = 1;
+Status ShardScheduler::DeclareDead(const Detection& death) {
+  const int shard = death.unit;
   const int target = NextAlive(shard);
   if (target < 0) {
     return Status::FailedPrecondition(
@@ -651,8 +732,8 @@ Status ShardScheduler::DeclareDead(
   failover_target_[static_cast<size_t>(shard)] = target;
   obs::FailoverRecord record;
   record.dead_shard = shard;
-  record.fault_class = sim::DeviceFaultClassName(ep.cls);
-  record.detected_at_seconds = detected_at;
+  record.fault_class = sim::DeviceFaultClassName(death.episode.cls);
+  record.detected_at_seconds = death.detected_at;
   failover_record_[static_cast<size_t>(shard)] =
       static_cast<int>(robustness_.failovers.size());
   robustness_.failovers.push_back(std::move(record));
@@ -661,27 +742,15 @@ Status ShardScheduler::DeclareDead(
 }
 
 Result<double> ShardScheduler::CheckHealth(double now) {
-  const int n = num_shards();
-  // Mark every newly-terminal shard first, so two shards dying in the
-  // same gap cannot become each other's failover target.
-  std::vector<std::pair<int, sim::DeviceFaultTimeline::Episode>> dying;
-  for (int i = 0; i < n; ++i) {
-    if (dead_[static_cast<size_t>(i)] != 0) continue;
-    std::optional<sim::DeviceFaultTimeline::Episode> ep =
-        fault_timeline_->TerminalAt(i, now);
-    if (ep.has_value()) {
-      dead_[static_cast<size_t>(i)] = 1;
-      dying.emplace_back(i, *ep);
-    }
-  }
   double stall = 0;
-  for (const auto& [shard, ep] : dying) {
-    const double detected_at = ep.begin + dcfg_.failover.heartbeat_timeout;
-    Status st = DeclareDead(shard, ep, detected_at);
+  for (const Detection& death :
+       DetectDeaths(*fault_timeline_, dcfg_.failover.heartbeat_timeout, now,
+                    &dead_)) {
+    Status st = DeclareDead(death);
     if (!st.ok()) return st;
     // The coordinator stalls until the heartbeat timeout fires (zero
     // when the fault began long enough ago that it already has).
-    stall = std::max(stall, detected_at - now);
+    stall = std::max(stall, death.detected_at - now);
   }
   return stall > 0 ? stall : 0;
 }
@@ -690,23 +759,16 @@ Result<double> ShardScheduler::SettleWindowDeaths(
     const std::vector<std::vector<ChunkResult>>& results,
     const std::vector<double>& times, double wall) {
   const int n = num_shards();
-  std::vector<std::pair<int, sim::DeviceFaultTimeline::Episode>> dying;
-  for (int i = 0; i < n; ++i) {
-    if (dead_[static_cast<size_t>(i)] != 0 || times[i] <= 0) continue;
-    std::optional<sim::DeviceFaultTimeline::Episode> ep =
-        fault_timeline_->TerminalIn(i, clock_, clock_ + times[i]);
-    if (ep.has_value()) {
-      dead_[static_cast<size_t>(i)] = 1;
-      dying.emplace_back(i, *ep);
-    }
-  }
+  const std::vector<Detection> dying =
+      DetectDeaths(*fault_timeline_, dcfg_.failover.heartbeat_timeout, clock_,
+                   &dead_, &times);
   if (dying.empty()) return wall;
 
   robustness_.reexec_windows += 1;
-  for (const auto& [shard, ep] : dying) {
-    const double detected_at = ep.begin + dcfg_.failover.heartbeat_timeout;
-    Status st = DeclareDead(shard, ep, detected_at);
+  for (const Detection& death : dying) {
+    Status st = DeclareDead(death);
     if (!st.ok()) return st;
+    const int shard = death.unit;
     const int target = failover_target_[static_cast<size_t>(shard)];
     const int rec = failover_record_[static_cast<size_t>(shard)];
 
@@ -744,25 +806,11 @@ Result<double> ShardScheduler::SettleWindowDeaths(
     shards_[target]->out.busy_seconds += reexec_seconds;
     // The window now ends when the redone work does: fault begin, the
     // heartbeat timeout, then the re-execution on the target.
-    wall = std::max(wall, (ep.begin - clock_) +
+    wall = std::max(wall, (death.episode.begin - clock_) +
                               dcfg_.failover.heartbeat_timeout +
                               reexec_seconds);
   }
   return wall;
-}
-
-double ShardScheduler::MergeSeconds(
-    const std::vector<uint64_t>& result_bytes) const {
-  // Shards stream their match runs to the coordinator (device 0).
-  // Dedicated links drain in parallel (slowest shard gates the merge);
-  // a shared host link serializes them.
-  const bool shared = topo_.links()[topo_.host_link(0)].shared;
-  double merge = 0;
-  for (int i = 1; i < num_shards(); ++i) {
-    const double t = topo_.PeerSeconds(i, 0, result_bytes[i]);
-    merge = shared ? merge + t : std::max(merge, t);
-  }
-  return merge;
 }
 
 Result<ShardedRunResult> ShardScheduler::RunJoin(
@@ -777,51 +825,16 @@ Result<ShardedRunResult> ShardScheduler::RunJoin(
   const uint64_t sample = s_.sample_size();
 
   ShardedRunResult out;
-  std::vector<uint64_t> link_bytes(topo_.links().size(), 0);
   double makespan_sim = 0;
-
-  for (uint64_t w = 0; w < n_sim_; ++w) {
-    if (fault_timeline_ != nullptr) {
-      // Window-boundary health check: shards whose terminal fault began
-      // before this window are declared dead now and their key ranges
-      // fail over before any chunk is planned.
-      Result<double> stall = CheckHealth(clock_);
-      if (!stall.ok()) return stall.status();
-      makespan_sim += *stall;
-      clock_ += *stall;
-    }
-
-    const uint64_t begin = w * stride_;
-    const uint64_t count = std::min(stride_, sample - begin);
-    std::vector<SliceRef> slices =
-        RouteSlice(begin, count, /*serving=*/false);
-    std::vector<std::vector<Chunk>> chunks =
-        PlanChunks(slices, &out.steal_events);
-    RoutePlans(&chunks);
-
-    std::vector<std::vector<core::JoinMatch>> window_collect;
-    if (collect != nullptr) window_collect.resize(n);
-    Result<double> wall = ExecuteWindow(
-        chunks, w, pool_.get(),
-        collect != nullptr ? &window_collect : nullptr, &link_bytes,
-        nullptr);
-    if (!wall.ok()) return wall.status();
-    makespan_sim += *wall;
-    clock_ += *wall;
-
-    if (collect != nullptr) {
-      // Deterministic cross-shard merge: shard order within the window,
-      // generation order within a shard. Local rows/positions map back
-      // through the shard's routing table and R offset.
-      for (int i = 0; i < n; ++i) {
-        const Shard& shard = *shards_[i];
-        for (const core::JoinMatch& m : window_collect[i]) {
-          collect->push_back(
-              {shard.row_map[m.probe_row],
-               plan_.pos_begin[i] + m.position});
-        }
-      }
-    }
+  for (uint64_t w = 0; w < grid_.n_sim; ++w) {
+    const uint64_t begin = w * grid_.stride;
+    Result<StepResult> step =
+        Step(nullptr, begin, std::min(grid_.stride, sample - begin),
+             Placement::kAppend, w, collect);
+    if (!step.ok()) return step.status();
+    makespan_sim += step->stall;
+    makespan_sim += step->wall;
+    out.steal_events += step->steal_events;
   }
 
   // Per-shard counter extrapolation, replicating the single-device
@@ -829,9 +842,9 @@ Result<ShardedRunResult> ShardScheduler::RunJoin(
   // generalization: a shard that serialized several device windows per
   // global window keeps that many kernel launches per window.
   const double to_one_window =
-      window_scale_ / static_cast<double>(n_sim_);
+      grid_.window_scale / static_cast<double>(grid_.n_sim);
   const double window_factor =
-      static_cast<double>(n_full_) / static_cast<double>(n_sim_);
+      static_cast<double>(grid_.n_full) / static_cast<double>(grid_.n_sim);
   uint64_t matches_total = 0;
   core::WindowStats stats_total;
   std::vector<uint64_t> result_bytes(n, 0);
@@ -840,15 +853,15 @@ Result<ShardedRunResult> ShardScheduler::RunJoin(
     const uint64_t launches = std::max<uint64_t>(
         1, static_cast<uint64_t>(std::llround(
                static_cast<double>(shard.chunks_run) /
-               static_cast<double>(n_sim_))));
+               static_cast<double>(grid_.n_sim))));
     sim::CounterSet part_avg = shard.part_sum.Scaled(to_one_window);
     sim::CounterSet join_avg = shard.join_sum.Scaled(to_one_window);
     part_avg.kernel_launches = launches;
     join_avg.kernel_launches = launches;
     sim::CounterSet shard_counters =
-        part_avg.Scaled(static_cast<double>(n_full_));
-    shard_counters += join_avg.Scaled(static_cast<double>(n_full_));
-    shard_counters.kernel_launches = 2 * launches * n_full_;
+        part_avg.Scaled(static_cast<double>(grid_.n_full));
+    shard_counters += join_avg.Scaled(static_cast<double>(grid_.n_full));
+    shard_counters.kernel_launches = 2 * launches * grid_.n_full;
     shard.out.counters = shard_counters;
     out.run.counters += shard_counters;
 
@@ -865,7 +878,7 @@ Result<ShardedRunResult> ShardScheduler::RunJoin(
     out.shards.push_back(shard.out);
   }
 
-  const double extrap = window_scale_ * window_factor;
+  const double extrap = grid_.window_scale * window_factor;
   out.sim_makespan = makespan_sim;
   if (fault_timeline_ != nullptr) out.robustness = robustness_;
   out.merge_seconds = MergeSeconds(result_bytes);
@@ -875,9 +888,9 @@ Result<ShardedRunResult> ShardScheduler::RunJoin(
   out.run.seconds = makespan_sim * extrap + out.merge_seconds;
   out.run.result_tuples = ScaleStat(matches_total, scale);
   out.run.spilled_tuples =
-      ScaleStat(stats_total.spilled_tuples, window_scale_ * window_factor);
+      ScaleStat(stats_total.spilled_tuples, extrap);
   out.run.spill_buckets =
-      ScaleStat(stats_total.spill_buckets, window_scale_ * window_factor);
+      ScaleStat(stats_total.spill_buckets, extrap);
   out.run.degraded_windows =
       ScaleStat(stats_total.degraded_windows, window_factor);
   out.run.fallback_windows =
@@ -888,7 +901,7 @@ Result<ShardedRunResult> ShardScheduler::RunJoin(
   for (size_t l = 0; l < topo_.links().size(); ++l) {
     LinkStats ls;
     ls.name = topo_.links()[l].name;
-    ls.bytes = ScaleStat(link_bytes[l], extrap);
+    ls.bytes = ScaleStat(link_bytes_[l], extrap);
     if (out.run.seconds > 0) {
       ls.utilization = static_cast<double>(ls.bytes) /
                        (topo_.links()[l].seq_bandwidth * out.run.seconds);
@@ -916,80 +929,13 @@ Result<ShardScheduler::RowBatchResult> ShardScheduler::ExecuteRowBatch(
           std::to_string(rows[i]) + " >= " + std::to_string(sample) + ")");
     }
   }
-  if (shards_[0]->joiner == nullptr) {
-    Status st = CreateJoiners();
-    if (!st.ok()) return st;
-  }
-
-  const int n = num_shards();
-  double stall = 0;
-  if (fault_timeline_ != nullptr) {
-    Result<double> s = CheckHealth(clock_);
-    if (!s.ok()) return s.status();
-    stall = *s;
-    clock_ += stall;
-  }
-
-  // Route the row set into the shards' probe buffers from the front:
-  // each batch window overwrites the last one's keys, and the per-call
-  // row map keeps local buffer indices mapping back to global rows.
-  // Capacity is the whole sample, so any row set fits.
-  const workload::Key* keys = s_.keys.data().data();
-  std::vector<uint64_t> cnt(n, 0);
-  if (n == 1) {
-    cnt[0] = count;
-  } else {
-    for (uint64_t i = 0; i < count; ++i) {
-      ++cnt[plan_.OwnerOf(keys[rows[i]])];
-    }
-  }
-  std::vector<SliceRef> slices(n);
-  std::vector<uint64_t> write_at(n, 0);
-  for (int i = 0; i < n; ++i) {
-    slices[i] = {0, cnt[i]};
-    shards_[i]->row_map.clear();
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t row = rows[i];
-    const int owner = n == 1 ? 0 : plan_.OwnerOf(keys[row]);
-    Shard& shard = *shards_[owner];
-    shard.s.keys[write_at[owner]++] = keys[row];
-    shard.row_map.push_back(row);
-  }
-  for (int i = 0; i < n; ++i) {
-    shards_[i]->cursor = cnt[i];
-    shards_[i]->out.tuples_routed += cnt[i];
-  }
-
+  Result<StepResult> step =
+      Step(rows, 0, count, Placement::kFront, ordinal, collect);
+  if (!step.ok()) return step.status();
   RowBatchResult out;
-  std::vector<std::vector<Chunk>> chunks =
-      PlanChunks(slices, &out.steal_events);
-  RoutePlans(&chunks);
-
-  std::vector<std::vector<core::JoinMatch>> window_collect;
-  if (collect != nullptr) window_collect.resize(n);
-  std::vector<uint64_t> link_bytes(topo_.links().size(), 0);
-  std::vector<uint64_t> window_matches(n, 0);
-  Result<double> wall = ExecuteWindow(
-      chunks, ordinal, pool_.get(),
-      collect != nullptr ? &window_collect : nullptr, &link_bytes,
-      &window_matches);
-  if (!wall.ok()) return wall.status();
-  if (fault_timeline_ != nullptr) clock_ += *wall;
-
-  if (collect != nullptr) {
-    // Shard order, generation order within a shard — the same
-    // deterministic merge RunJoin uses, mapped to global rows.
-    for (int i = 0; i < n; ++i) {
-      const Shard& shard = *shards_[i];
-      for (const core::JoinMatch& m : window_collect[i]) {
-        collect->push_back(
-            {shard.row_map[m.probe_row], plan_.pos_begin[i] + m.position});
-      }
-    }
-  }
-  for (uint64_t m : window_matches) out.matches += m;
-  out.seconds = stall + *wall;
+  out.seconds = step->stall + step->wall;
+  for (uint64_t m : step->matches) out.matches += m;
+  out.steal_events = step->steal_events;
   return out;
 }
 
@@ -1014,43 +960,30 @@ std::vector<sim::PhaseSpan> ShardScheduler::ShardPhaseSpans(
 
 Result<double> ShardScheduler::ServiceSlice(uint64_t begin, uint64_t count,
                                             uint64_t ordinal) {
+  return ServiceSliceCollect(begin, count, ordinal, nullptr);
+}
+
+Result<double> ShardScheduler::ServiceSliceCollect(
+    uint64_t begin, uint64_t count, uint64_t ordinal,
+    std::vector<core::JoinMatch>* collect) {
   if (count == 0) {
     return Status::InvalidArgument("cannot serve an empty slice");
   }
   if (begin + count > s_.sample_size()) {
     return Status::InvalidArgument("slice exceeds the probe sample");
   }
-  if (shards_[0]->joiner == nullptr) {
-    Status st = CreateJoiners();
-    if (!st.ok()) return st;
-  }
-
-  const int n = num_shards();
-  double detection_stall = 0;
-  if (fault_timeline_ != nullptr) {
-    Result<double> stall = CheckHealth(clock_);
-    if (!stall.ok()) return stall.status();
-    detection_stall = *stall;
-    clock_ += detection_stall;
-  }
-  std::vector<SliceRef> slices = RouteSlice(begin, count, /*serving=*/true);
-  uint64_t steal_events = 0;
-  std::vector<std::vector<Chunk>> chunks = PlanChunks(slices, &steal_events);
-  RoutePlans(&chunks);
-
-  std::vector<uint64_t> link_bytes(topo_.links().size(), 0);
-  std::vector<uint64_t> slice_matches(n, 0);
-  Result<double> wall = ExecuteWindow(chunks, ordinal, pool_.get(),
-                                      nullptr, &link_bytes, &slice_matches);
-  if (!wall.ok()) return wall.status();
-  if (fault_timeline_ != nullptr) clock_ += *wall;
+  Result<StepResult> step =
+      Step(nullptr, begin, count, Placement::kCyclic, ordinal, collect);
+  if (!step.ok()) return step.status();
 
   // Serving works at sample scale (like the single-device server): the
   // batch's results merge at the coordinator before the response goes
   // out.
-  std::vector<uint64_t> result_bytes(n, 0);
-  for (int i = 0; i < n; ++i) result_bytes[i] = slice_matches[i] * 16;
-  return detection_stall + *wall + MergeSeconds(result_bytes);
+  std::vector<uint64_t> result_bytes(step->matches.size());
+  for (size_t i = 0; i < result_bytes.size(); ++i) {
+    result_bytes[i] = step->matches[i] * 16;
+  }
+  return step->stall + step->wall + MergeSeconds(result_bytes);
 }
 
 }  // namespace gpujoin::dist

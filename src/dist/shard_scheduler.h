@@ -77,6 +77,50 @@ struct FailoverPolicy {
   bool enabled() const { return device_faults.enabled(); }
 };
 
+// Validates the heartbeat knobs every failover tier carries (this
+// engine's FailoverPolicy and the cluster's node-level policy).
+Status ValidateHeartbeat(double heartbeat_timeout, double recovery_penalty);
+
+// One unit (shard or node) a heartbeat scan declared dead.
+struct Detection {
+  int unit = 0;
+  sim::DeviceFaultTimeline::Episode episode;
+  double detected_at = 0;  // fault begin + heartbeat timeout
+};
+
+// The heartbeat scan both tiers share. Marks in `dead` every unit not
+// yet dead whose terminal fault began at or before `now` — or, given
+// `busy`, began while the unit was busy in [now, now + busy[u]) — and
+// returns them in unit order. All are marked before any is returned, so
+// units dying in the same gap never become each other's reroute target;
+// each tier keeps its own reroute policy and stall accounting.
+std::vector<Detection> DetectDeaths(const sim::DeviceFaultTimeline& timeline,
+                                    double heartbeat_timeout, double now,
+                                    std::vector<char>* dead,
+                                    const std::vector<double>* busy = nullptr);
+
+// The window grid of a scale-out run over `devices` GPUs. Per device
+// the formulas are the batch pipeline's (core/inlj.cc) — every device
+// has a window capacity of `w_full` tuples, sized down for multiple
+// devices only so the aggregate full-scale window never exceeds |S|
+// (the single-device pipeline clamps the same way). One global window
+// is all devices filling their windows at once, so a device routed
+// more than `w_dev` tuples in a global window serializes extra device
+// windows — the scale-out skew penalty. With one device this is
+// exactly the batch pipeline's grid.
+struct WindowGrid {
+  uint64_t w_full = 0;      // device window, full scale
+  uint64_t w_dev = 0;       // device window, simulated scale
+  uint64_t stride = 0;      // global window stride over the sample
+  uint64_t n_sim = 0;       // simulated global windows
+  uint64_t n_full = 0;      // full-scale global windows
+  double window_scale = 1;  // w_full / w_dev
+};
+
+WindowGrid PlanWindowGrid(uint64_t window_tuples,
+                          const workload::ProbeRelation& s,
+                          uint64_t devices);
+
 struct ShardConfig {
   int num_shards = 1;
   TopologyKind topology = TopologyKind::kNvLink2;
@@ -181,18 +225,22 @@ class ShardScheduler final : public serve::WindowBackend {
       std::vector<core::JoinMatch>* collect = nullptr);
 
   // serve::WindowBackend: fans the slice out to the owning shards and
-  // returns the slowest shard's service time plus the merge.
+  // returns the slowest shard's service time plus the merge. A non-null
+  // `collect` receives the slice's matches with global probe rows.
   uint64_t sample_size() const override { return s_.sample_size(); }
   Result<double> ServiceSlice(uint64_t begin, uint64_t count,
                               uint64_t ordinal) override;
+  Result<double> ServiceSliceCollect(
+      uint64_t begin, uint64_t count, uint64_t ordinal,
+      std::vector<core::JoinMatch>* collect) override;
 
   // ------------------------------------------------------------------
   // Cluster hooks (src/cluster). The cluster tier drives one engine per
   // node: it routes each global window's probe rows to their owning
   // node by leading radix bits and hands the node engine an explicit
   // row set to execute as one batch window. Nothing here is charged to
-  // the network — the cluster layer prices handoffs and merges through
-  // its own ClusterTopology on top of the returned node-local wall.
+  // the network — the cluster layer prices handoffs and merges over its
+  // network-tier Topology on top of the returned node-local wall.
 
   // Outcome of one ExecuteRowBatch window on this engine.
   struct RowBatchResult {
@@ -206,12 +254,12 @@ class ShardScheduler final : public serve::WindowBackend {
   // head of RunJoin. Call once per cluster batch run.
   Status BeginBatchWindows();
 
-  // Executes `count` explicit global sample rows as one batch window:
-  // routes them to their owning shards, plans chunks (work stealing and
-  // device-fault failover active), executes on the worker pool, and
-  // appends every match to `collect` (optional) in shard order with
-  // *global* probe rows and positions. Joiners are created lazily so
-  // the serving path can call this without BeginBatchWindows.
+  // Executes `count` explicit global sample rows as one batch window
+  // through the window step (work stealing and device-fault failover
+  // active), appending every match to `collect` (optional) in shard
+  // order with *global* probe rows and slice-relative positions.
+  // Joiners are created lazily so the serving path can call this
+  // without BeginBatchWindows.
   Result<RowBatchResult> ExecuteRowBatch(
       const uint64_t* rows, uint64_t count, uint64_t ordinal,
       std::vector<core::JoinMatch>* collect);
@@ -285,6 +333,15 @@ class ShardScheduler final : public serve::WindowBackend {
   // owner's device, charged to `thief`'s timeline (thief == owner for
   // the shard's own chunk).
   struct Chunk {
+    Chunk() = default;
+    Chunk(int owner, int thief, uint64_t start, uint64_t count,
+          bool failover = false)
+        : owner(owner),
+          thief(thief),
+          start(start),
+          count(count),
+          failover(failover) {}
+
     int owner = 0;
     int thief = 0;
     uint64_t start = 0;
@@ -316,12 +373,30 @@ class ShardScheduler final : public serve::WindowBackend {
     uint64_t count = 0;
   };
 
+  // Where a window's routed rows land in each shard's probe buffer —
+  // the one thing the window step's callers differ in.
+  enum class Placement {
+    kAppend,  // after the previous window's (batch runs)
+    kCyclic,  // wrapping to the front when the tail is full (serving)
+    kFront,   // from the front, over the last window (cluster batches)
+  };
+
+  struct StepResult {
+    double stall = 0;  // heartbeat detection stall before the window
+    double wall = 0;   // window wall, mid-window failover included
+    uint64_t steal_events = 0;
+    std::vector<uint64_t> matches;  // per shard, sample scale
+  };
+
   ShardScheduler(const core::ExperimentConfig& cfg, const ShardConfig& dcfg,
                  Topology topo)
       : cfg_(cfg), dcfg_(dcfg), topo_(std::move(topo)) {}
 
   Status Build();
   Status ResetShardsForRun();
+  // Adaptive mode only: (re)creates the planner and the per-shard
+  // feature extractors from their seeds.
+  void ResetPlanner();
   Status CreateJoiners();
 
   // The steal planner's per-tuple rate estimator, seeded with the
@@ -332,16 +407,27 @@ class ShardScheduler final : public serve::WindowBackend {
   util::Ewma SeededRateEstimator() const {
     return util::Ewma(0.5,
                       cfg_.platform.gpu.stream_sync_overhead /
-                          static_cast<double>(w_dev_),
+                          static_cast<double>(grid_.w_dev),
                       /*warmup=*/2);
   }
 
-  // Routes s_[begin, begin+count) into the shards' probe buffers.
-  // `serving` wraps each shard's cursor cyclically (the serving path
-  // reuses the buffers forever); the batch path records row maps for
-  // match remapping instead.
-  std::vector<SliceRef> RouteSlice(uint64_t begin, uint64_t count,
-                                   bool serving);
+  // The one window step every entry point runs: health check, route
+  // the rows by key owner, plan chunks (stealing and failover), route
+  // plans, execute on the pool, advance the run clock, and append the
+  // matches to `collect` (optional) with global probe rows, in shard
+  // order. Row i of the window is rows[i], or begin + i when `rows` is
+  // null.
+  Result<StepResult> Step(const uint64_t* rows, uint64_t begin,
+                          uint64_t count, Placement placement,
+                          uint64_t ordinal,
+                          std::vector<core::JoinMatch>* collect);
+
+  // Routes the window's rows into the shards' probe buffers at
+  // `placement`. `map_rows` records local buffer row -> global row for
+  // match remapping.
+  std::vector<SliceRef> Route(const uint64_t* rows, uint64_t begin,
+                              uint64_t count, Placement placement,
+                              bool map_rows);
 
   // Plans this window's chunks (work stealing when enabled); returns
   // per-victim chunk lists in execution order.
@@ -368,20 +454,20 @@ class ShardScheduler final : public serve::WindowBackend {
       Shard& shard, const Chunk& chunk, uint64_t ordinal,
       std::vector<core::JoinMatch>* collect);
 
-  // Runs the planned chunks concurrently (one task per shard that owns
-  // work) and folds charged per-shard times, contention and link bytes.
-  // Returns the window's wall time (max over shards). `collect_shards`
-  // receives per-shard matches when non-null.
-  // `window_matches` (optional) receives per-shard match counts for the
-  // serving path's merge accounting.
+  // Runs the planned chunks concurrently on the pool (one task per
+  // shard that owns work) and folds charged per-shard times, contention
+  // and link bytes. Returns the window's wall time (max over shards).
+  // `collect_shards` receives per-shard matches when non-null;
+  // `window_matches` receives per-shard match counts.
   Result<double> ExecuteWindow(
       const std::vector<std::vector<Chunk>>& chunks, uint64_t ordinal,
-      util::ThreadPool* pool,
       std::vector<std::vector<core::JoinMatch>>* collect_shards,
-      std::vector<uint64_t>* host_bytes_by_link,
       std::vector<uint64_t>* window_matches);
 
-  double MergeSeconds(const std::vector<uint64_t>& result_bytes) const;
+  // Shards stream their match runs to the coordinator (device 0).
+  double MergeSeconds(const std::vector<uint64_t>& result_bytes) const {
+    return topo_.GatherSeconds(result_bytes, /*sink=*/0, nullptr);
+  }
 
   // ------------------------------------------------------------------
   // Health model (no-ops without a device-fault timeline).
@@ -390,10 +476,9 @@ class ShardScheduler final : public serve::WindowBackend {
   // is dead.
   int NextAlive(int shard) const;
 
-  // Declares a shard dead (records the failover, picks the target).
-  // `detected_at` is the simulated time the heartbeat timeout fired.
-  Status DeclareDead(int shard, const sim::DeviceFaultTimeline::Episode& ep,
-                     double detected_at);
+  // Declares a detected shard dead: records the failover and picks the
+  // ring-successor target.
+  Status DeclareDead(const Detection& death);
 
   // Pre-window health check at simulated time `now`: declares shards
   // whose terminal fault began at or before `now` and returns the
@@ -415,18 +500,8 @@ class ShardScheduler final : public serve::WindowBackend {
   Topology topo_;
   ShardPlan plan_;
 
-  // The window grid (fixed per engine, derived in Build): every device
-  // has a window capacity of `w_full_` probe tuples (`w_dev_` simulated),
-  // so one *global* window strides num_shards * w_dev_ tuples of the
-  // sample. A shard routed more than w_dev_ tuples in a global window
-  // serializes extra device windows — the scale-out skew penalty. With
-  // one shard this degenerates to exactly the batch pipeline's grid.
-  uint64_t w_full_ = 0;         // device window, full scale
-  uint64_t w_dev_ = 0;          // device window, simulated scale
-  uint64_t stride_ = 0;         // global window stride over the sample
-  uint64_t n_sim_ = 0;          // simulated global windows
-  uint64_t n_full_ = 0;         // full-scale global windows
-  double window_scale_ = 1;     // w_full_ / w_dev_
+  // The window grid (fixed per engine, derived in Build).
+  WindowGrid grid_;
 
   // The coordinator-side base workload: R (procedural, shared read-only
   // by the router) and the probe sample the windows slice.
@@ -439,6 +514,8 @@ class ShardScheduler final : public serve::WindowBackend {
   workload::ProbeRelation s_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
+  // Per-link host bytes since the last reset (RunJoin extrapolates them).
+  std::vector<uint64_t> link_bytes_;
 
   // Device-fault state (timeline null when failover.device_faults is
   // empty — the guard that keeps fault-free runs bit-identical).

@@ -76,7 +76,8 @@ std::string PlanChoice::Name() const {
   name += "/";
   name += core::PartitionModeName(mode);
   if (mode == core::InljConfig::PartitionMode::kWindowed) {
-    name += "/" + std::to_string(window_tuples);
+    name += "/";
+    name += std::to_string(window_tuples);
   }
   return name;
 }

@@ -21,7 +21,27 @@ double BucketCapacity(const TenantTier& tier, uint64_t tuples_per_request) {
 }  // namespace
 
 Status TenantConfig::Validate() const {
-  if (!enabled()) return Status();
+  if (!enabled()) {
+    // Untenanted serving runs one implicit tenant and reads none of the
+    // tenancy fields; a set one would be silently ignored.
+    if (!tiers.empty()) {
+      return Status::InvalidArgument(
+          "tenants.tiers must be empty when tenants.num_tenants == 0");
+    }
+    if (key_universe > 0) {
+      return Status::InvalidArgument(
+          "tenants.key_universe must be 0 when tenants.num_tenants == 0");
+    }
+    if (rogue_extra != 0) {
+      return Status::InvalidArgument(
+          "tenants.rogue_extra must be 0 when tenants.num_tenants == 0");
+    }
+    if (rogue_tenant != 0) {
+      return Status::InvalidArgument(
+          "tenants.rogue_tenant must be 0 when tenants.num_tenants == 0");
+    }
+    return Status();
+  }
   if (num_tenants > (uint64_t{1} << 32)) {
     return Status::InvalidArgument("tenants.num_tenants must fit in 32 bits");
   }

@@ -84,7 +84,8 @@ struct TenantConfig {
 
   // InvalidArgument naming the offending field: empty or duplicate tier
   // names, non-positive/non-finite weight, negative rate or skew, rogue
-  // tenant out of range.
+  // tenant out of range — or, with num_tenants == 0, any of tiers,
+  // key_universe, rogue_extra or rogue_tenant set.
   Status Validate() const;
 };
 

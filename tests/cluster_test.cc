@@ -1,5 +1,5 @@
-// Tests for the multi-node cluster tier (src/cluster): the two-level
-// topology's network pricing, the node planner's key-space split, and
+// Tests for the multi-node cluster tier (src/cluster): the network
+// tier's pricing, the node planner's key-space split, and
 // the ClusterScheduler's load-bearing invariants — 1-node runs are
 // bit-identical to dist::ShardScheduler, the match set survives node
 // deaths, drains and joins unchanged, and results are byte-identical
@@ -12,10 +12,9 @@
 #include <vector>
 
 #include "cluster/cluster_scheduler.h"
-#include "cluster/cluster_topology.h"
-#include "cluster/node_planner.h"
 #include "core/experiment.h"
 #include "dist/shard_scheduler.h"
+#include "dist/topology.h"
 #include "serve/server.h"
 #include "sim/fault.h"
 #include "workload/key_column.h"
@@ -24,85 +23,80 @@ namespace gpujoin {
 namespace {
 
 // --------------------------------------------------------------------
-// ClusterTopology
+// The network tier (a dist::Topology whose endpoints are nodes)
 
-TEST(ClusterTopologyTest, NodeSecondsIsSymmetricAndMonotone) {
+TEST(NetworkTierTest, PeerSecondsIsSymmetricAndMonotone) {
   for (auto network :
        {cluster::NetworkKind::kInfiniBand, cluster::NetworkKind::kEthernet}) {
-    auto topo = cluster::ClusterTopology::Create(
-        network, 4, dist::TopologyKind::kNvLink2, 2);
+    auto topo = dist::Topology::Create(network, 4);
     ASSERT_TRUE(topo.ok()) << topo.status().ToString();
     double prev = -1;
     for (uint64_t bytes : {uint64_t{0}, uint64_t{1} << 12, uint64_t{1} << 20,
                            uint64_t{1} << 26}) {
-      const double t = topo->NodeSeconds(0, 3, bytes);
-      EXPECT_DOUBLE_EQ(t, topo->NodeSeconds(3, 0, bytes))
-          << cluster::NetworkKindName(network);
-      EXPECT_GE(t, prev) << cluster::NetworkKindName(network);
+      const double t = topo->PeerSeconds(0, 3, bytes);
+      EXPECT_DOUBLE_EQ(t, topo->PeerSeconds(3, 0, bytes))
+          << dist::TopologyKindName(network);
+      EXPECT_GE(t, prev) << dist::TopologyKindName(network);
       prev = t;
     }
-    EXPECT_EQ(topo->NodeSeconds(2, 2, uint64_t{1} << 20), 0);
+    EXPECT_EQ(topo->PeerSeconds(2, 2, uint64_t{1} << 20), 0);
   }
 }
 
-TEST(ClusterTopologyTest, EthernetSharesASwitchAndInfiniBandDoesNot) {
-  auto ib = cluster::ClusterTopology::Create(
-      cluster::NetworkKind::kInfiniBand, 4, dist::TopologyKind::kNvLink2, 1);
-  auto eth = cluster::ClusterTopology::Create(
-      cluster::NetworkKind::kEthernet, 4, dist::TopologyKind::kNvLink2, 1);
+TEST(NetworkTierTest, EthernetSharesASwitchAndInfiniBandDoesNot) {
+  auto ib = dist::Topology::Create(cluster::NetworkKind::kInfiniBand, 4);
+  auto eth = dist::Topology::Create(cluster::NetworkKind::kEthernet, 4);
   ASSERT_TRUE(ib.ok() && eth.ok());
-  // The Ethernet path crosses one extra (shared) backplane segment.
-  EXPECT_EQ(ib->NodePathLinks(0, 2).size(), 2u);
-  EXPECT_EQ(eth->NodePathLinks(0, 2).size(), 3u);
+  // The Ethernet path crosses one extra (shared) switch segment.
+  EXPECT_EQ(ib->PeerLinks(0, 2).size(), 2u);
+  EXPECT_EQ(eth->PeerLinks(0, 2).size(), 3u);
   bool saw_shared = false;
-  for (int l : eth->NodePathLinks(0, 2)) {
+  for (int l : eth->PeerLinks(0, 2)) {
     if (eth->links()[l].shared) {
       saw_shared = true;
-      EXPECT_EQ(eth->Sharers(l, 4), 4);
+      EXPECT_EQ(eth->HostSharers(l, 4), 4);
     } else {
-      EXPECT_EQ(eth->Sharers(l, 4), 1);
+      EXPECT_EQ(eth->HostSharers(l, 4), 1);
     }
   }
   EXPECT_TRUE(saw_shared);
-  for (int l : ib->NodePathLinks(0, 2)) EXPECT_EQ(ib->Sharers(l, 4), 1);
+  for (int l : ib->PeerLinks(0, 2)) EXPECT_EQ(ib->HostSharers(l, 4), 1);
   // The commodity network is much slower end to end.
   const uint64_t bytes = uint64_t{1} << 24;
-  EXPECT_GT(eth->NodeSeconds(0, 2, bytes), 4 * ib->NodeSeconds(0, 2, bytes));
+  EXPECT_GT(eth->PeerSeconds(0, 2, bytes), 4 * ib->PeerSeconds(0, 2, bytes));
 }
 
-TEST(ClusterTopologyTest, AddNodeGrowsTheTierInPlace) {
-  auto topo = cluster::ClusterTopology::Create(
-      cluster::NetworkKind::kEthernet, 2, dist::TopologyKind::kPciE4, 2);
+TEST(NetworkTierTest, AddEndpointGrowsTheTierInPlace) {
+  auto topo = dist::Topology::Create(cluster::NetworkKind::kEthernet, 2);
   ASSERT_TRUE(topo.ok()) << topo.status().ToString();
   const size_t links_before = topo->links().size();
-  auto id = topo->AddNode();
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  EXPECT_EQ(*id, 2);
-  EXPECT_EQ(topo->num_nodes(), 3);
+  EXPECT_EQ(topo->AddEndpoint(), 2);
+  EXPECT_EQ(topo->num_devices(), 3);
   EXPECT_EQ(topo->links().size(), links_before + 1);
-  EXPECT_EQ(topo->node_fabric(2).links().size(),
-            topo->node_fabric(0).links().size());
-  EXPECT_GT(topo->NodeSeconds(0, 2, uint64_t{1} << 20), 0);
+  // The joiner gets a dedicated uplink priced like the original nodes'.
+  const uint64_t bytes = uint64_t{1} << 20;
+  EXPECT_FALSE(topo->links()[topo->host_link(2)].shared);
+  EXPECT_EQ(topo->PeerSeconds(0, 2, bytes), topo->PeerSeconds(0, 1, bytes));
+  EXPECT_GT(topo->PeerSeconds(0, 2, bytes), 0);
 }
 
-TEST(ClusterTopologyDeathTest, AccessorsRejectOutOfRangeNodes) {
-  auto topo = cluster::ClusterTopology::Create(
-      cluster::NetworkKind::kInfiniBand, 2, dist::TopologyKind::kNvLink2, 1);
+TEST(NetworkTierDeathTest, AccessorsRejectOutOfRangeNodes) {
+  auto topo = dist::Topology::Create(cluster::NetworkKind::kInfiniBand, 2);
   ASSERT_TRUE(topo.ok()) << topo.status().ToString();
-  EXPECT_DEATH(topo->node_fabric(2), "node_fabric: node must be in");
-  EXPECT_DEATH(topo->uplink(-1), "uplink: node must be in");
-  EXPECT_DEATH(topo->Sharers(99, 2), "Sharers: link must be in");
+  EXPECT_DEATH(topo->host_link(-1), "host_link: device must be in");
+  EXPECT_DEATH(topo->HostSharers(99, 2), "HostSharers: link must be in");
 }
 
 // --------------------------------------------------------------------
-// NodePlanner
+// The node level of the two-level plan (dist::ShardPlanner, nodes as
+// shards)
 
 TEST(NodePlannerTest, CellsCoverRAndRouteToTheirOwners) {
   mem::AddressSpace space;
   workload::JitteredKeyColumn r(&space, uint64_t{1} << 16, 16, /*seed=*/7);
-  auto plan = cluster::NodePlanner::Plan(r, 3);
+  auto plan = dist::ShardPlanner::Plan(r, 3);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(plan->num_nodes(), 3);
+  EXPECT_EQ(plan->num_shards, 3);
   EXPECT_EQ(plan->cell_pos.front(), 0u);
   EXPECT_EQ(plan->cell_pos.back(), r.size());
   uint64_t total = 0;
@@ -113,9 +107,9 @@ TEST(NodePlannerTest, CellsCoverRAndRouteToTheirOwners) {
   EXPECT_EQ(total, r.size());
   // Every R key's cell maps back into the owning node's slice.
   for (uint64_t i = 0; i < r.size(); i += 131) {
-    const int owner = plan->OriginOf(r.key_at(i));
-    EXPECT_GE(i, plan->node_r_begin(owner)) << "key index " << i;
-    EXPECT_LT(i, plan->node_r_end(owner)) << "key index " << i;
+    const int owner = plan->OwnerOf(r.key_at(i));
+    EXPECT_GE(i, plan->pos_begin[owner]) << "key index " << i;
+    EXPECT_LT(i, plan->pos_begin[owner + 1]) << "key index " << i;
   }
 }
 
@@ -185,6 +179,17 @@ TEST(ClusterSchedulerTest, RejectsBadConfigs) {
   full.inlj.mode = core::InljConfig::PartitionMode::kFull;
   EXPECT_FALSE(
       cluster::ClusterScheduler::Create(full, cluster::ClusterConfig{}).ok());
+
+  // The network tier must be a network, not an in-node GPU fabric.
+  cluster::ClusterConfig fabric;
+  fabric.network = dist::TopologyKind::kNvLink2;
+  auto refused = cluster::ClusterScheduler::Create(cfg, fabric);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().ToString().find("network"), std::string::npos);
+  // ...and the in-node fabric must not be a network.
+  cluster::ClusterConfig net_fabric;
+  net_fabric.node_topology = dist::TopologyKind::kEthernet;
+  EXPECT_FALSE(cluster::ClusterScheduler::Create(cfg, net_fabric).ok());
 }
 
 // The bit-identity guarantee: one node with no membership events and no
@@ -302,6 +307,37 @@ TEST(ClusterSchedulerTest, KillingANodeKeepsTheMatchSet) {
   EXPECT_EQ(run.nodes[2].r_tuples, 0u);
   // Remote fetches and the recovery penalty cost simulated time.
   EXPECT_GT(run.run.seconds, base.run.seconds);
+}
+
+// Two nodes dying in the same gap are both marked dead before either's
+// cells move, so neither is dealt the other's cells: each failover
+// record counts exactly the sample rows its own node was charged.
+TEST(ClusterSchedulerTest, SimultaneousNodeDeathsCountEachRowOnce) {
+  core::ExperimentConfig cfg = MultiWindowConfig();
+  cluster::ClusterConfig ccfg;
+  ccfg.num_nodes = 3;
+  ccfg.gpus_per_node = 1;
+  std::vector<core::JoinMatch> healthy;
+  const auto base = MustRun(cfg, ccfg, &healthy);
+  ASSERT_GT(base.sim_makespan, 0);
+
+  cluster::ClusterConfig faulty = ccfg;
+  for (int node : {0, 1}) {
+    faulty.failover.node_faults.events.push_back(
+        {sim::DeviceFaultClass::kShardCrash, node,
+         /*at_seconds=*/0.4 * base.sim_makespan});
+  }
+  std::vector<core::JoinMatch> survived;
+  const auto run = MustRun(cfg, faulty, &survived);
+
+  EXPECT_TRUE(Sorted(survived) == Sorted(healthy));
+  ASSERT_EQ(run.robustness.failovers.size(), 2u);
+  EXPECT_EQ(run.robustness.failovers[0].reassigned_tuples +
+                run.robustness.failovers[1].reassigned_tuples,
+            base.nodes[0].tuples_routed + base.nodes[1].tuples_routed);
+  EXPECT_FALSE(run.nodes[0].alive);
+  EXPECT_FALSE(run.nodes[1].alive);
+  EXPECT_EQ(run.nodes[2].r_tuples, cfg.r_tuples);
 }
 
 // Draining a node ships its charged cells (data included) to the rest
@@ -522,6 +558,47 @@ TEST(ClusterServeTest, RequestServerFansOutAcrossNodes) {
   ASSERT_TRUE(report2.ok());
   EXPECT_EQ(report->sim_seconds, report2->sim_seconds);
   EXPECT_EQ(report->latency.Quantile(0.99), report2->latency.Quantile(0.99));
+}
+
+// Match collection through the backend seam: dist, a 1-node cluster
+// (which delegates to dist) and a 2-node cluster serve the same request
+// stream, so the collected match multisets agree.
+TEST(ClusterServeTest, CollectedMatchesAgreeAcrossBackends) {
+  core::ExperimentConfig cfg = ClusterExpConfig();
+  cfg.s_sample = uint64_t{1} << 14;
+  serve::ServeConfig sc;
+  sc.requests = 300;
+  sc.tuples_per_request = 512;
+  sc.arrival.rate = 20000;
+  sc.arrival.seed = 5;
+  sc.max_backlog_tuples = 0;  // no shedding: every request is served
+  sc.collect_matches = true;
+
+  const auto serve_sorted = [&](serve::WindowBackend& backend) {
+    serve::RequestServer server(backend, sc);
+    auto report = server.Run();
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    if (!report.ok()) return std::vector<core::JoinMatch>{};
+    EXPECT_EQ(report->counters.requests_admitted, sc.requests);
+    return Sorted(report->matches);
+  };
+
+  dist::ShardConfig dcfg;
+  dcfg.num_shards = 4;
+  auto dist_engine = dist::ShardScheduler::Create(cfg, dcfg);
+  ASSERT_TRUE(dist_engine.ok()) << dist_engine.status().ToString();
+  const auto dist_matches = serve_sorted(**dist_engine);
+  EXPECT_EQ(dist_matches.size(), sc.requests * sc.tuples_per_request);
+
+  for (int nodes : {1, 2}) {
+    cluster::ClusterConfig ccfg;
+    ccfg.num_nodes = nodes;
+    ccfg.gpus_per_node = 4 / nodes;
+    auto engine = cluster::ClusterScheduler::Create(cfg, ccfg);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_TRUE(serve_sorted(**engine) == dist_matches)
+        << nodes << " nodes x " << ccfg.gpus_per_node << " GPUs";
+  }
 }
 
 }  // namespace

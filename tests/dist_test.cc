@@ -158,6 +158,15 @@ TEST(ShardSchedulerTest, RejectsNonWindowedModes) {
   EXPECT_FALSE(dist::ShardScheduler::Create(cfg, dcfg).ok());
 }
 
+TEST(ShardSchedulerTest, RejectsANetworkTierAsTheGpuFabric) {
+  dist::ShardConfig dcfg;
+  dcfg.num_shards = 2;
+  dcfg.topology = dist::TopologyKind::kInfiniBand;
+  auto engine = dist::ShardScheduler::Create(DistConfig(), dcfg);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_NE(engine.status().ToString().find("topology"), std::string::npos);
+}
+
 TEST(ShardSchedulerTest, EveryProbeTupleIsRoutedAndJoined) {
   core::ExperimentConfig cfg = DistConfig();
   dist::ShardConfig dcfg;

@@ -66,8 +66,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(256u, 512u, 1024u, 4096u, 16384u),
                        ::testing::Values(0.5, 0.7, 0.9, 1.0)),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_f" +
-             std::to_string(static_cast<int>(std::get<1>(info.param) * 100));
+      return std::string("n")
+          .append(std::to_string(std::get<0>(info.param)))
+          .append("_f")
+          .append(std::to_string(
+              static_cast<int>(std::get<1>(info.param) * 100)));
     });
 
 class HarmoniaConfigTest
@@ -90,8 +93,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(4u, 8u, 16u, 32u, 64u, 256u),
                        ::testing::Values(1, 4, 32)),
     [](const auto& info) {
-      return "k" + std::to_string(std::get<0>(info.param)) + "_w" +
-             std::to_string(std::get<1>(info.param));
+      return std::string("k")
+          .append(std::to_string(std::get<0>(info.param)))
+          .append("_w")
+          .append(std::to_string(std::get<1>(info.param)));
     });
 
 // Dense columns with non-unit strides and offsets.

@@ -130,7 +130,8 @@ INSTANTIATE_TEST_SUITE_P(Windows, WindowSizeTest,
                                            uint64_t{1} << 21,
                                            uint64_t{1} << 24),
                          [](const auto& info) {
-                           return "w" + std::to_string(info.param);
+                           return std::string("w").append(
+                               std::to_string(info.param));
                          });
 
 // --- Spill to host -----------------------------------------------------------

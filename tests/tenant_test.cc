@@ -132,10 +132,29 @@ TEST(TenantConfig, ValidationNamesTheOffendingField) {
     EXPECT_NE(st.ToString().find(c.names), std::string::npos)
         << st.ToString();
   }
-  // Disabled tenancy validates vacuously, whatever the tier garbage.
+  // Disabled tenancy validates with every tenancy field at its default,
+  // and refuses, by name, a field it would otherwise silently ignore.
   TenantConfig off;
   off.num_tenants = 0;
   EXPECT_TRUE(off.Validate().ok());
+  const struct {
+    void (*set)(TenantConfig&);
+    const char* names;
+  } ignored[] = {
+      {[](TenantConfig& c) { c.tiers = TwoTierConfig().tiers; }, "tiers"},
+      {[](TenantConfig& c) { c.key_universe = 16; }, "key_universe"},
+      {[](TenantConfig& c) { c.rogue_extra = 1; }, "rogue_extra"},
+      {[](TenantConfig& c) { c.rogue_tenant = 3; }, "rogue_tenant"},
+  };
+  for (const auto& c : ignored) {
+    TenantConfig tc;
+    c.set(tc);
+    Status st = tc.Validate();
+    ASSERT_FALSE(st.ok()) << c.names;
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << c.names;
+    EXPECT_NE(st.ToString().find(c.names), std::string::npos)
+        << st.ToString();
+  }
 }
 
 TEST(ResultCacheConfig, ValidationNamesTheOffendingField) {
@@ -478,7 +497,7 @@ TEST(RequestServer, TenantModeRejectsIncompatibleKnobs) {
 
     // ...and tenant mode at all.
     ServeConfig single = TenantServeConfig();
-    single.tenants.num_tenants = 0;
+    single.tenants = TenantConfig{};  // untenanted
     RequestServer plain(backend, single);
     plain.AttachCache(cache.get());
     auto r2 = plain.Run();
@@ -488,7 +507,7 @@ TEST(RequestServer, TenantModeRejectsIncompatibleKnobs) {
   {
     // Untenanted serving collects matches too.
     ServeConfig sc = TenantServeConfig();
-    sc.tenants.num_tenants = 0;
+    sc.tenants = TenantConfig{};  // untenanted
     sc.collect_matches = true;
     RequestServer server(backend, sc);
     EXPECT_TRUE(server.Run().ok());
@@ -561,7 +580,7 @@ TEST(RequestServer, UntenantedCollectsEveryWindowsMatches) {
   // A sample of 100 requests: batches of 16 straddle the wrap, so the
   // cursor splits windows there.
   ServeConfig sc = TenantServeConfig();
-  sc.tenants.num_tenants = 0;
+  sc.tenants = TenantConfig{};  // untenanted
   sc.requests = 2000;
   sc.collect_matches = true;
   const uint64_t sample = 100 * sc.tuples_per_request;
@@ -586,7 +605,7 @@ TEST(RequestServer, ShedUntenantedBatchLeavesNoMatches) {
   // both attempts (calls 3 and 4), so the whole batch is shed, and the
   // matches its first half collected must go with it.
   ServeConfig sc = TenantServeConfig();
-  sc.tenants.num_tenants = 0;
+  sc.tenants = TenantConfig{};  // untenanted
   sc.requests = 5 * 16;
   sc.batch.deadline_seconds = 1.0;
   sc.collect_matches = true;

@@ -15,9 +15,9 @@ namespace gpujoin {
 namespace {
 
 const dist::TopologyKind kKinds[] = {
-    dist::TopologyKind::kNvLink2,
-    dist::TopologyKind::kPciE4,
-    dist::TopologyKind::kNvSwitch,
+    dist::TopologyKind::kNvLink2,    dist::TopologyKind::kPciE4,
+    dist::TopologyKind::kNvSwitch,   dist::TopologyKind::kInfiniBand,
+    dist::TopologyKind::kEthernet,
 };
 
 // --------------------------------------------------------------------

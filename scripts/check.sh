@@ -51,17 +51,11 @@ run_config build-release -DCMAKE_BUILD_TYPE=Release -DGPUJOIN_SANITIZE= \
 # stay byte-identical to the checked-in golden table.
 scripts/fault_smoke.sh build-release
 
-# Serving golden diffs: the multi-tenant grid and the HTAP ingest grid
-# must regenerate byte-identical to their committed result files.
-scripts/bench_tenant.sh --check build-release
-scripts/bench_htap.sh --check build-release
-
-# Scale-out golden diffs: the sharded sweep, the kill-a-shard grid and
-# the multi-node grid (dist/ and cluster/ share one topology, window
-# step and failure detector) must regenerate byte-identical too.
-scripts/bench_dist.sh --check build-release
-scripts/bench_chaos.sh --check build-release
-scripts/bench_multinode.sh --check build-release
+# Reproduction gate: every simulated results/*.txt table and every
+# simulated-time BENCH_*.json (serving, tenant, HTAP, planner, sharded,
+# chaos and multi-node grids) must regenerate byte-identical to its
+# committed file.
+scripts/repro_check.sh build-release
 
 # Metrics emission smoke: a small bench run with --json must produce
 # records that pass the schema_version 1 validator.

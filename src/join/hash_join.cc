@@ -23,6 +23,7 @@ Result<sim::RunResult> HashJoin::Run(sim::Gpu& gpu,
 
   // Full-size table in simulated GPU memory (sparse functional storage).
   MultiValueHashTable table(&space, s.full_size, s.full_size, config.table);
+  table.ReserveKeys(s.sample_size());
   if (table.footprint_bytes() > gpu.platform().gpu.hbm_capacity) {
     return Status::ResourceExhausted(
         "hash table (" +

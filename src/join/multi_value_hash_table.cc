@@ -53,14 +53,18 @@ uint64_t gpu_line_bytes(sim::Warp& warp) {
 }
 }  // namespace
 
-std::pair<uint64_t, int> MultiValueHashTable::ProbeSlot(Key key) const {
+void MultiValueHashTable::ReserveKeys(uint64_t keys) {
+  slots_.reserve(keys);
+  slot_index_.Reserve(keys);
+}
+
+MultiValueHashTable::Probe MultiValueHashTable::ProbeSlot(Key key) {
   uint64_t idx = HashSlot(key);
   int steps = 1;
   while (true) {
-    auto it = slots_.find(idx);
-    if (it == slots_.end() || it->second.key == key) {
-      return {idx, steps};
-    }
+    const uint32_t* pos = slot_index_.Find(idx);
+    if (pos == nullptr) return {idx, steps, nullptr};
+    if (slots_[*pos].key == key) return {idx, steps, &slots_[*pos]};
     idx = (idx + 1) & (capacity_ - 1);
     ++steps;
   }
@@ -80,17 +84,22 @@ void MultiValueHashTable::InsertWarp(sim::Warp& warp, const Key* keys,
   for (int lane = 0; lane < kW; ++lane) {
     if (!(mask & (1u << lane))) continue;
     const Key key = keys[lane];
-    auto [slot_idx, steps] = ProbeSlot(key);
-    for (int s = 1; s < steps; ++s) {
+    Probe probe = ProbeSlot(key);
+    for (int s = 1; s < probe.steps; ++s) {
       warp.memory().Access(SlotAddr((HashSlot(key) + s) & (capacity_ - 1)),
                            kSlotBytes, sim::AccessType::kRead);
     }
 
-    Slot& slot = slots_[slot_idx];
-    if (slot.count == 0) {
+    if (probe.slot == nullptr) {
+      GPUJOIN_CHECK(slots_.size() < ~uint32_t{0});
+      slot_index_[probe.idx] = static_cast<uint32_t>(slots_.size());
+      probe.slot = &slots_.emplace_back();
+    }
+    Slot& slot = *probe.slot;
+    if (slot.values.empty()) {
       // New key: claim the slot; the first value is stored inline.
       slot.key = key;
-      warp.memory().Access(SlotAddr(slot_idx), kSlotBytes,
+      warp.memory().Access(SlotAddr(probe.idx), kSlotBytes,
                            sim::AccessType::kWrite);
     } else {
       // Walk the bucket list to the tail (WarpCore-style append).
@@ -124,9 +133,8 @@ void MultiValueHashTable::InsertWarp(sim::Warp& warp, const Key* keys,
       ++tail.used;
     }
     slot.values.push_back(values[lane]);
-    ++slot.count;
     ++num_values_;
-    if (slot.count > max_duplicates_) max_duplicates_ = slot.count;
+    max_duplicates_ = std::max<uint64_t>(max_duplicates_, slot.values.size());
   }
 }
 
@@ -157,14 +165,13 @@ uint32_t MultiValueHashTable::RetrieveWarp(
   for (int lane = 0; lane < kW; ++lane) {
     if (!(mask & (1u << lane))) continue;
     const Key key = keys[lane];
-    auto [slot_idx, steps] = ProbeSlot(key);
-    for (int s = 1; s < steps; ++s) {
+    const Probe probe = ProbeSlot(key);
+    for (int s = 1; s < probe.steps; ++s) {
       warp.memory().Access(SlotAddr((HashSlot(key) + s) & (capacity_ - 1)),
                            kSlotBytes, sim::AccessType::kRead);
     }
-    auto it = slots_.find(slot_idx);
-    if (it == slots_.end()) continue;  // key absent
-    const Slot& slot = it->second;
+    if (probe.slot == nullptr) continue;  // key absent
+    const Slot& slot = *probe.slot;
     found |= 1u << lane;
 
     // The inline value came with the slot read; bucket-list values cost

@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/address_space.h"
 #include "sim/gpu.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 #include "workload/key_column.h"
 
@@ -22,10 +22,10 @@ using workload::Key;
 // go to a bucket list whose bucket capacities grow geometrically up to
 // `max_bucket_size` (512 in the paper's configuration).
 //
-// Functional storage is sparse (hash maps keyed by slot id) while the
-// simulated address layout is the full-size table, so cache and HBM
-// behaviour match a real table even when only a sample of the build side
-// is inserted.
+// Functional storage is sparse (one dense entry per stored key, found
+// through a flat map keyed by slot id) while the simulated address layout
+// is the full-size table, so cache and HBM behaviour match a real table
+// even when only a sample of the build side is inserted.
 //
 // Appending to a key's bucket list walks to the tail bucket. Under heavy
 // key duplication (the Zipf-skewed build sides of Fig. 8) those walks
@@ -45,6 +45,10 @@ class MultiValueHashTable {
                       uint64_t expected_values, const Options& options);
   MultiValueHashTable(mem::AddressSpace* space, uint64_t expected_keys,
                       uint64_t expected_values);
+
+  // Sizes the functional storage for `keys` distinct keys (e.g. the
+  // sampled build side), so inserting them never regrows it.
+  void ReserveKeys(uint64_t keys);
 
   // SIMT insert of (key, value) pairs for the lanes in `mask`.
   void InsertWarp(sim::Warp& warp, const Key* keys, const uint64_t* values,
@@ -75,11 +79,12 @@ class MultiValueHashTable {
   // Total tail-walk bucket hops performed across all inserts so far.
   uint64_t total_walk_hops() const { return total_walk_hops_; }
 
-  // Iterates (key, duplicate_count) over all stored keys; used by the
-  // hash join to extrapolate full-scale duplicate-chain costs.
+  // Iterates (key, duplicate_count) over all stored keys in first-insert
+  // order; used by the hash join to extrapolate full-scale
+  // duplicate-chain costs.
   void ForEachKeyCount(
       const std::function<void(Key key, uint64_t count)>& fn) const {
-    for (const auto& [idx, slot] : slots_) fn(slot.key, slot.count);
+    for (const Slot& slot : slots_) fn(slot.key, slot.values.size());
   }
 
   uint32_t max_bucket_size() const { return max_bucket_size_; }
@@ -98,7 +103,13 @@ class MultiValueHashTable {
     Key key;
     std::vector<Bucket> buckets;   // list, head first
     std::vector<uint64_t> values;  // functional contents
-    uint64_t count = 0;            // values stored for this key
+  };
+
+  // Where a functional probe for a key ended.
+  struct Probe {
+    uint64_t idx;  // the key's slot, or the empty slot to claim
+    int steps;     // probe steps taken
+    Slot* slot;    // the key's entry; nullptr if absent
   };
 
   uint64_t HashSlot(Key key) const {
@@ -112,9 +123,8 @@ class MultiValueHashTable {
   // Bump-allocates a bucket of `capacity` values from the pool.
   Bucket AllocateBucket(uint32_t capacity);
 
-  // Functional probe: returns the slot index for `key` (existing or the
-  // empty slot to claim) and the number of probe steps taken.
-  std::pair<uint64_t, int> ProbeSlot(Key key) const;
+  // Functional linear probe for `key`, one index lookup per step.
+  Probe ProbeSlot(Key key);
 
   uint32_t max_bucket_size_;
   uint64_t expected_values_;
@@ -125,7 +135,8 @@ class MultiValueHashTable {
   uint64_t num_values_ = 0;
   uint64_t max_duplicates_ = 0;
   uint64_t total_walk_hops_ = 0;
-  std::unordered_map<uint64_t, Slot> slots_;  // slot index -> content
+  std::vector<Slot> slots_;              // stored keys, first-insert order
+  util::FlatMap64<uint32_t> slot_index_;  // slot index -> slots_ position
 };
 
 }  // namespace gpujoin::join

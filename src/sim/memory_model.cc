@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <string>
+#include <utility>
 
 namespace gpujoin::sim {
 
@@ -29,6 +30,78 @@ MemoryModel::MemoryModel(mem::AddressSpace* space, const GpuSpec& gpu)
       ring_(bits::NextPowerOfTwo(recent_window_ + 1)),
       ring_mask_(ring_.size() - 1),
       recent_pages_(std::min<uint64_t>(recent_window_ + 1, 8192)) {}
+
+namespace {
+
+// Calls fn(a, b) for each compare-exchange of Batcher's odd-even merge
+// sort network over n (a power of two) keys, in network order.
+template <typename Fn>
+constexpr void ForEachComparator(int n, Fn&& fn) {
+  for (int p = 1; p < n; p <<= 1) {
+    for (int k = p; k >= 1; k >>= 1) {
+      for (int j = k % p; j + k < n; j += 2 * k) {
+        for (int i = 0; i < std::min(k, n - j - k); ++i) {
+          if ((i + j) / (2 * p) == (i + j + k) / (2 * p)) {
+            fn(i + j, i + j + k);
+          }
+        }
+      }
+    }
+  }
+}
+
+constexpr int ComparatorCount(int n) {
+  int count = 0;
+  ForEachComparator(n, [&count](int, int) { ++count; });
+  return count;
+}
+
+template <int N>
+constexpr auto MakeNetwork() {
+  std::array<std::array<uint8_t, 2>, ComparatorCount(N)> net{};
+  int c = 0;
+  ForEachComparator(N, [&](int a, int b) {
+    net[c][0] = static_cast<uint8_t>(a);
+    net[c][1] = static_cast<uint8_t>(b);
+    ++c;
+  });
+  return net;
+}
+
+// Orders v[i] <= v[j] through a swap mask: std::min/std::max here
+// compile to a branch per pair, which mispredicts on unsorted lines.
+inline void CompareExchange(uint64_t* v, int i, int j) {
+  const uint64_t a = v[i];
+  const uint64_t b = v[j];
+  const uint64_t swap = (a ^ b) & (uint64_t{0} - uint64_t{b < a});
+  v[i] = a ^ swap;
+  v[j] = b ^ swap;
+}
+
+// Sorts v[0, N) with the network unrolled at compile time: no
+// compare-exchange has a data-dependent branch.
+template <int N>
+void SortingNetwork(uint64_t* v) {
+  static constexpr auto kNet = MakeNetwork<N>();
+  [v]<size_t... I>(std::index_sequence<I...>) {
+    (CompareExchange(v, kNet[I][0], kNet[I][1]), ...);
+  }(std::make_index_sequence<kNet.size()>{});
+}
+
+// Sorts lines[0, n) for n <= 64 on the smallest network that fits, padded
+// with the ~0 sentinel (which sorts last and is never read back).
+void SortLines(uint64_t* lines, int n) {
+  const int slots = n <= 8 ? 8 : n <= 16 ? 16 : n <= 32 ? 32 : 64;
+  std::fill(lines + n, lines + slots, ~uint64_t{0});
+  switch (slots) {
+    case 8: return SortingNetwork<8>(lines);
+    case 16: return SortingNetwork<16>(lines);
+    case 32: return SortingNetwork<32>(lines);
+    default: return SortingNetwork<64>(lines);
+  }
+}
+
+}  // namespace
 
 void MemoryModel::TouchLine(uint64_t line_id, AccessType type, bool random) {
   ++counters_.memory_transactions;
@@ -161,14 +234,15 @@ bool MemoryModel::TlbLookup(uint64_t vpn) {
 
 void MemoryModel::Gather(const mem::VirtAddr* addrs, uint32_t mask,
                          uint32_t bytes_per_lane, AccessType type) {
+  CheckLaneBytes(bytes_per_lane);
   ++counters_.warp_steps;
   if (mask == 0) return;
 
-  // Collect the distinct lines touched by the active lanes. A lane access
-  // can straddle a line boundary, so reserve two slots per lane. Lanes
-  // usually access consecutive addresses (partitioned probes, streaming
-  // kernels), so detect already-sorted line lists while collecting and
-  // skip the sort.
+  // Collect the lines touched by the active lanes. A lane access can
+  // straddle one line boundary (bytes_per_lane <= line size), so two
+  // slots per lane suffice. Lanes usually access consecutive addresses
+  // (partitioned probes, streaming kernels), so detect already-sorted
+  // line lists while collecting and skip the sort.
   std::array<uint64_t, 2 * kWarpWidth> lines;
   int n = 0;
   bool sorted = true;
@@ -181,7 +255,9 @@ void MemoryModel::Gather(const mem::VirtAddr* addrs, uint32_t mask,
     lines[n++] = first;
     if (last != first) lines[n++] = last;
   }
-  if (!sorted) std::sort(lines.begin(), lines.begin() + n);
+  if (!sorted) SortLines(lines.data(), n);
+  // Touch each distinct line once, in ascending order: LRU and the TLB
+  // interference ring depend on touch order.
   uint64_t prev = ~uint64_t{0};
   for (int i = 0; i < n; ++i) {
     if (lines[i] == prev) continue;

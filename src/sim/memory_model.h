@@ -12,6 +12,7 @@
 #include "sim/specs.h"
 #include "sim/tlb.h"
 #include "sim/trace.h"
+#include "util/check.h"
 #include "util/flat_map.h"
 #include "util/status.h"
 
@@ -54,14 +55,19 @@ class MemoryModel {
   MemoryModel& operator=(const MemoryModel&) = delete;
 
   // One coalesced SIMT memory instruction. `mask` bit i set means lane i
-  // accesses `bytes_per_lane` bytes at addrs[i]. Gathers are charged at
-  // the interconnect's random-access rate when they leave the GPU.
+  // accesses `bytes_per_lane` bytes at addrs[i], 1 <= bytes_per_lane <=
+  // line_bytes() (CHECKed once per call), so a lane touches one line or
+  // straddles into the next. Distinct lines are touched once each, in
+  // ascending order; an unsorted line list is put in order by a fixed
+  // sorting network. Gathers are charged at the interconnect's
+  // random-access rate when they leave the GPU.
   void Gather(const mem::VirtAddr* addrs, uint32_t mask,
               uint32_t bytes_per_lane, AccessType type);
 
   // Single-lane equivalent of Gather() with one active lane: same
   // counters, without the lane-collection loop.
   void Access(mem::VirtAddr addr, uint32_t bytes, AccessType type) {
+    CheckLaneBytes(bytes);
     ++counters_.warp_steps;
     const uint64_t first = addr >> line_shift_;
     const uint64_t last = (addr + bytes - 1) >> line_shift_;
@@ -146,7 +152,9 @@ class MemoryModel {
   // boundaries: a real window's churn (millions of line touches) evicts
   // everything a previous window loaded except constantly re-touched hot
   // lines (radix table, index top levels), which the sampled simulation
-  // would otherwise understate.
+  // would otherwise understate. O(1): each cache set settles the flush
+  // lazily on its next touch (Cache::FlushCold), so a window pays only
+  // for the sets it touches.
   void FlushCaches() {
     l1_.FlushCold(kHotLineTouches);
     l2_.FlushCold(kHotLineTouches);
@@ -183,6 +191,15 @@ class MemoryModel {
     int32_t count = 0;
     uint64_t stamp = 0;
   };
+
+  // Aborts unless 1 <= bytes <= line size: a zero-byte access would
+  // touch the line before its address, and a longer one would skip the
+  // lines between its first and last.
+  void CheckLaneBytes(uint32_t bytes) const {
+    GPUJOIN_CHECK(bytes >= 1 && bytes <= gpu_.cacheline_bytes)
+        << "lane access of " << bytes << " bytes; must be 1.."
+        << gpu_.cacheline_bytes;
+  }
 
   // Processes one line-granular transaction; returns the level it was
   // served from (0 = L1, 1 = L2, 2 = memory).

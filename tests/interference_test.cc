@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/address_space.h"
 #include "sim/cache.h"
 #include "sim/gpu.h"
 #include "sim/memory_model.h"
 #include "sim/run_result.h"
 #include "sim/specs.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace gpujoin::sim {
@@ -128,6 +132,179 @@ TEST(FlushCold, ResetsTouchCounts) {
   cache.FlushCold(2);
   EXPECT_FALSE(cache.Contains(100));
 }
+
+TEST(FlushCold, LineSurvivesOneFlushNotTwo) {
+  Cache cache(1024, 64, 4);
+  for (int i = 0; i < 3; ++i) cache.Access(100);
+  cache.FlushCold(2);
+  cache.FlushCold(2);
+  // The set was not touched between the flushes: the second one saw a
+  // touch count of 0.
+  EXPECT_FALSE(cache.Contains(100));
+  EXPECT_FALSE(cache.Access(100));
+}
+
+TEST(FlushCold, RejectsThresholdOutsideOneTo255) {
+  Cache cache(1024, 64, 4);
+  EXPECT_DEATH(cache.FlushCold(0), "min_touches");
+  EXPECT_DEATH(cache.FlushCold(256), "min_touches");
+}
+
+// The cache as it was before flushes became lazy: struct-of-arrays
+// storage and an eager sweep of every slot per flush. Kept as the oracle
+// the lazy Cache must match operation for operation.
+class EagerCache {
+ public:
+  EagerCache(uint64_t size_bytes, uint32_t line_bytes, int ways)
+      : ways_(ways) {
+    const uint64_t num_lines = size_bytes / line_bytes;
+    if (static_cast<uint64_t>(ways_) > num_lines) {
+      ways_ = static_cast<int>(num_lines);
+    }
+    const uint64_t num_sets = uint64_t{1}
+                              << bits::Log2Floor(num_lines / ways_);
+    ways_ = static_cast<int>(num_lines / num_sets);
+    set_mask_ = num_sets - 1;
+    tags_.assign(num_sets * ways_, kInvalidTag);
+    last_use_.assign(tags_.size(), 0);
+    touches_.assign(tags_.size(), 0);
+  }
+
+  int ways() const { return ways_; }
+
+  bool Access(uint64_t line_id) {
+    const uint64_t base = (line_id & set_mask_) * ways_;
+    ++tick_;
+    int lru = 0;
+    for (int w = 0; w < ways_; ++w) {
+      if (tags_[base + w] == line_id) {
+        last_use_[base + w] = tick_;
+        ++touches_[base + w];
+        mru_slot_ = base + w;
+        return true;
+      }
+      if (last_use_[base + w] < last_use_[base + lru]) lru = w;
+    }
+    mru_slot_ = base + lru;
+    tags_[mru_slot_] = line_id;
+    last_use_[mru_slot_] = tick_;
+    touches_[mru_slot_] = 1;
+    return false;
+  }
+
+  void TouchMru() {
+    last_use_[mru_slot_] = ++tick_;
+    ++touches_[mru_slot_];
+  }
+
+  bool Contains(uint64_t line_id) const {
+    const uint64_t base = (line_id & set_mask_) * ways_;
+    for (int w = 0; w < ways_; ++w) {
+      if (tags_[base + w] == line_id) return true;
+    }
+    return false;
+  }
+
+  void Clear() {
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(last_use_.begin(), last_use_.end(), 0);
+    std::fill(touches_.begin(), touches_.end(), 0);
+    tick_ = 0;
+    mru_slot_ = 0;
+  }
+
+  void FlushCold(uint64_t min_touches) {
+    for (size_t slot = 0; slot < tags_.size(); ++slot) {
+      if (touches_[slot] < min_touches) {
+        tags_[slot] = kInvalidTag;
+        last_use_[slot] = 0;
+      }
+      touches_[slot] = 0;
+    }
+  }
+
+ private:
+  static constexpr uint64_t kInvalidTag = ~uint64_t{0};
+  int ways_;
+  uint64_t set_mask_;
+  uint64_t tick_ = 0;
+  uint64_t mru_slot_ = 0;
+  std::vector<uint64_t> tags_;
+  std::vector<uint64_t> last_use_;
+  std::vector<uint64_t> touches_;
+};
+
+struct CacheGeometry {
+  uint64_t size_bytes;
+  uint32_t line_bytes;
+  int ways;
+};
+
+class LazyFlushDifferential
+    : public ::testing::TestWithParam<CacheGeometry> {};
+
+// Seeded random sequences of every Cache operation, run through the lazy
+// Cache and the eager oracle side by side. Flush bursts are common, so
+// sets are regularly touched again only after two or more flushes.
+TEST_P(LazyFlushDifferential, MatchesEagerSweep) {
+  const CacheGeometry g = GetParam();
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Cache lazy(g.size_bytes, g.line_bytes, g.ways);
+    EagerCache eager(g.size_bytes, g.line_bytes, g.ways);
+    ASSERT_EQ(lazy.ways(), eager.ways());
+    const uint64_t lines = g.size_bytes / g.line_bytes;
+    // Lines drawn from 3x the capacity: enough reuse for hits and hot
+    // lines, enough spread for conflict evictions.
+    const uint64_t universe = 3 * lines;
+    Xoshiro256 rng(seed);
+    bool mru_valid = false;
+    for (int op = 0; op < 20000; ++op) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " op " << op);
+      const uint64_t roll = rng.NextBounded(100);
+      if (roll < 55) {
+        const uint64_t line = rng.NextBounded(universe);
+        ASSERT_EQ(lazy.Access(line), eager.Access(line));
+        mru_valid = true;
+      } else if (roll < 70) {
+        if (mru_valid) {
+          lazy.TouchMru();
+          eager.TouchMru();
+        }
+      } else if (roll < 85) {
+        const uint64_t line = rng.NextBounded(universe);
+        ASSERT_EQ(lazy.Contains(line), eager.Contains(line));
+      } else if (roll < 99) {
+        // Mostly the simulator's threshold, sometimes others.
+        const uint64_t pick = rng.NextBounded(8);
+        const uint64_t min_touches = pick < 5 ? 2 : pick < 6 ? 1 : pick + 1;
+        const uint64_t burst = 1 + rng.NextBounded(3);
+        for (uint64_t b = 0; b < burst; ++b) {
+          lazy.FlushCold(min_touches);
+          eager.FlushCold(min_touches);
+        }
+        mru_valid = false;
+      } else {
+        lazy.Clear();
+        eager.Clear();
+        mru_valid = false;
+      }
+      if (op % 97 == 0) {
+        for (uint64_t line = 0; line < universe; ++line) {
+          ASSERT_EQ(lazy.Contains(line), eager.Contains(line)) << line;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, LazyFlushDifferential,
+    ::testing::Values(CacheGeometry{256, 64, 4},    // one fully assoc. set
+                      CacheGeometry{1024, 64, 4},   // 4 sets
+                      CacheGeometry{512, 64, 1},    // direct-mapped
+                      CacheGeometry{128, 64, 16},   // clamped to 2 ways
+                      CacheGeometry{6 * kKiB, 128, 16},  // folded: 24 ways
+                      CacheGeometry{16 * kKiB, 128, 8}));
 
 TEST(RunResultHelpers, QpsAndTranslationsPerKey) {
   RunResult res;

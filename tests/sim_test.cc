@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/address_space.h"
 #include "sim/cache.h"
 #include "sim/cost_model.h"
@@ -8,6 +11,8 @@
 #include "sim/memory_model.h"
 #include "sim/specs.h"
 #include "sim/tlb.h"
+#include "sim/trace.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace gpujoin::sim {
@@ -171,6 +176,85 @@ TEST_F(MemoryModelTest, LaneAccessCanStraddleLines) {
   mem::VirtAddr addr = host_.base + 120;  // 8 bytes reach into next line
   model_.Gather(&addr, 1u, 16, AccessType::kRead);
   EXPECT_EQ(model_.counters().memory_transactions, 2u);
+}
+
+TEST_F(MemoryModelTest, LaneBytesMustFitOneLine) {
+  mem::VirtAddr addr = host_.base + 256;
+  EXPECT_DEATH(model_.Gather(&addr, 1u, 0, AccessType::kRead),
+               "lane access of 0 bytes");
+  EXPECT_DEATH(model_.Gather(&addr, 1u, 129, AccessType::kRead),
+               "lane access of 129 bytes");
+  EXPECT_DEATH(model_.Access(addr, 0, AccessType::kRead),
+               "lane access of 0 bytes");
+  EXPECT_DEATH(model_.Access(addr, 129, AccessType::kRead),
+               "lane access of 129 bytes");
+  // A full line is fine and straddles at most once.
+  model_.Gather(&addr, 1u, 128, AccessType::kRead);
+  model_.Access(addr + 64, 128, AccessType::kRead);
+  EXPECT_EQ(model_.counters().memory_transactions, 3u);
+}
+
+// Records the line address of every transaction, in order.
+class TransactionLog : public AccessObserver {
+ public:
+  void OnTransaction(mem::VirtAddr addr, ServiceLevel, bool) override {
+    addrs.push_back(addr);
+  }
+  void OnStream(mem::VirtAddr, uint64_t, bool) override {}
+  std::vector<mem::VirtAddr> addrs;
+};
+
+// Gather must touch exactly the distinct lines of its active lanes, once
+// each and in ascending order, whatever the lane order: random masks,
+// lanes that straddle lines, duplicate lines, and 1 to 64 distinct lines.
+TEST_F(MemoryModelTest, GatherTouchesDistinctLinesInAscendingOrder) {
+  TransactionLog log;
+  model_.AddObserver(&log);
+  Xoshiro256 rng(42);
+  std::vector<size_t> distinct_seen(2 * MemoryModel::kWarpWidth + 1, 0);
+  for (int iter = 0; iter < 20000; ++iter) {
+    SCOPED_TRACE(testing::Message() << "iteration " << iter);
+    uint32_t mask = static_cast<uint32_t>(rng.Next());
+    if (rng.NextBounded(4) == 0) mask = ~0u;
+    if (mask == 0) mask = 1;
+    // Every eighth draw has every lane straddle two lines.
+    const bool straddle = rng.NextBounded(8) == 0;
+    const uint32_t bytes =
+        straddle ? 128 : 1 + static_cast<uint32_t>(rng.NextBounded(128));
+    // Span sizes from one line (all duplicates) to far apart lines.
+    static constexpr uint64_t kSpans[] = {128, 512, 4096, 16384, kMiB};
+    const uint64_t span = kSpans[rng.NextBounded(5)];
+    const mem::VirtAddr base = host_.base + rng.NextBounded(kGiB);
+    const bool ascending = rng.NextBounded(4) == 0;
+    mem::VirtAddr addrs[32];
+    for (int lane = 0; lane < 32; ++lane) {
+      addrs[lane] = ascending ? base + lane * (span / 32)
+                              : base + rng.NextBounded(span);
+      if (straddle) addrs[lane] = addrs[lane] / 128 * 128 + 64;
+    }
+    std::vector<uint64_t> want;
+    for (int lane = 0; lane < 32; ++lane) {
+      if (!(mask & (1u << lane))) continue;
+      want.push_back(addrs[lane] / 128);
+      want.push_back((addrs[lane] + bytes - 1) / 128);
+    }
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    ++distinct_seen[want.size()];
+
+    log.addrs.clear();
+    model_.Gather(addrs, mask, bytes, AccessType::kRead);
+    ASSERT_EQ(log.addrs.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(log.addrs[i], want[i] * 128) << i;
+    }
+  }
+  model_.RemoveObserver(&log);
+  // The draws fill every sorting-network size (8, 16, 32, 64 slots),
+  // including a full 64-line network.
+  for (size_t n : {1, 8, 9, 16, 17, 32, 33, 64}) {
+    EXPECT_GT(distinct_seen[n], 0u) << n;
+  }
 }
 
 TEST_F(MemoryModelTest, DeviceAccessDoesNotTouchInterconnect) {
